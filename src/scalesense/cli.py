@@ -64,6 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    spec_flags = argparse.ArgumentParser(add_help=False)
+    spec_flags.add_argument("--seed", required=True, type=int)
+    spec_flags.add_argument("--n", required=True, type=int)
+    spec_flags.add_argument("--prevalence", required=True, type=float)
+    spec_flags.add_argument("--mu0", required=True, type=float, help="healthy mean")
+    spec_flags.add_argument("--mu1", required=True, type=float, help="diseased mean")
+    spec_flags.add_argument("--sigma", required=True, type=float)
+
     analyze = sub.add_parser(
         "analyze", help="discretize one cohort CSV and report the optimal cut"
     )
@@ -85,26 +93,18 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(handler=_cmd_analyze)
 
     simulate = sub.add_parser(
-        "simulate", help="draw one synthetic cohort and write it as CSV"
+        "simulate",
+        parents=[spec_flags],
+        help="draw one synthetic cohort and write it as CSV",
     )
-    simulate.add_argument("--seed", required=True, type=int)
-    simulate.add_argument("--n", required=True, type=int)
-    simulate.add_argument("--prevalence", required=True, type=float)
-    simulate.add_argument("--mu0", required=True, type=float, help="healthy mean")
-    simulate.add_argument("--mu1", required=True, type=float, help="diseased mean")
-    simulate.add_argument("--sigma", required=True, type=float)
     simulate.add_argument("--out", required=True, help="output cohort CSV path")
     simulate.set_defaults(handler=_cmd_simulate)
 
     sweep = sub.add_parser(
-        "sweep", help="Monte Carlo sweep of optimal cuts across class counts"
+        "sweep",
+        parents=[spec_flags],
+        help="Monte Carlo sweep of optimal cuts across class counts",
     )
-    sweep.add_argument("--seed", required=True, type=int)
-    sweep.add_argument("--n", required=True, type=int)
-    sweep.add_argument("--prevalence", required=True, type=float)
-    sweep.add_argument("--mu0", required=True, type=float, help="healthy mean")
-    sweep.add_argument("--mu1", required=True, type=float, help="diseased mean")
-    sweep.add_argument("--sigma", required=True, type=float)
     sweep.add_argument(
         "--k-list",
         type=_comma_ints,
@@ -170,14 +170,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     cohort = load_cohort(args.input, schema)
     analysis = analyze_cohort(cohort, args.k, _CRITERIA[args.criterion])
-    document = ReportDocument(
-        schema_version=SCHEMA_VERSION,
-        provenance=Provenance(
-            seed=None, tool_version=__version__, timestamp=args.timestamp
-        ),
-        payload=analysis,
-    )
-    write_report(document, args.out, "structured-json")
+    _write(analysis, None, args, "structured-json")
     s = analysis.summary
     print(
         f"analyze: n={len(cohort)} k={args.k} criterion={args.criterion} "
@@ -186,8 +179,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    spec = CohortSpec(
+def _write(payload, seed: Optional[int], args: argparse.Namespace, fmt: str) -> None:
+    provenance = Provenance(seed=seed, tool_version=__version__, timestamp=args.timestamp)
+    write_report(ReportDocument(SCHEMA_VERSION, provenance, payload), args.out, fmt)
+
+
+def _spec(args: argparse.Namespace) -> CohortSpec:
+    return CohortSpec(
         n=args.n,
         prevalence=args.prevalence,
         mu_healthy=args.mu0,
@@ -195,7 +193,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sigma=args.sigma,
         seed=args.seed,
     )
-    cohort = generate_cohort(spec)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    cohort = generate_cohort(_spec(args))
     write_cohort(cohort, args.out)
     print(
         f"simulate: n={len(cohort)} diseased={cohort.n_diseased} "
@@ -205,16 +206,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = CohortSpec(
-        n=args.n,
-        prevalence=args.prevalence,
-        mu_healthy=args.mu0,
-        mu_diseased=args.mu1,
-        sigma=args.sigma,
-        seed=args.seed,
-    )
     report = run_partition_sweep(
-        spec,
+        _spec(args),
         k_values=tuple(args.k_list),
         reps=args.reps,
         criterion=_CRITERIA[args.criterion],
@@ -222,14 +215,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     fmt = args.format
     if fmt is None:
         fmt = "flat-csv" if str(args.out).lower().endswith(".csv") else "structured-json"
-    document = ReportDocument(
-        schema_version=SCHEMA_VERSION,
-        provenance=Provenance(
-            seed=args.seed, tool_version=__version__, timestamp=args.timestamp
-        ),
-        payload=report,
-    )
-    write_report(document, args.out, fmt)
+    _write(report, args.seed, args, fmt)
     ks = ",".join(str(k) for k in report.k_values)
     print(
         f"sweep: reps={report.reps} k_values={ks} criterion={args.criterion} "

@@ -13,10 +13,11 @@ positive, so sensitivity spans the exact range ``[0, 1]`` endpoints at
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,11 +29,72 @@ from .errors import (
     InsufficientSamplesError,
     InvalidClassCountError,
     InvariantViolationError,
+    ScaleSenseError,
     ThresholdOutOfRangeError,
 )
 
 MASS_TOLERANCE = 1e-9
 """Absolute slack allowed on probability sums after float arithmetic."""
+
+_REAL = (int, float, np.integer, np.floating)
+
+
+def strict_int(
+    value,
+    name: str,
+    error: type[ScaleSenseError],
+    minimum: Optional[int] = None,
+    maximum: Optional[int] = None,
+) -> int:
+    """Return ``value`` as a Python int, or raise ``error``.
+
+    Accepts ``int`` and numpy integers.  Rejects ``bool`` and every float,
+    even an integral one such as ``2.0``, so no value is silently truncated,
+    and any value outside the inclusive ``minimum``/``maximum`` bounds given.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if (minimum is not None and value < minimum) or (
+        maximum is not None and value > maximum
+    ):
+        bounds = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise error(f"{name} must be {bounds}, got {value}")
+    return int(value)
+
+
+def finite_float(value, name: str, error: type[ScaleSenseError]) -> float:
+    """Return ``value`` as a finite Python float, or raise ``error``.
+
+    Accepts Python and numpy integers and floats.  Rejects ``bool``,
+    strings, ``None``, NaN and values beyond the float range.
+    """
+    if isinstance(value, _REAL) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def finite_floats(values, name: str, error: type[ScaleSenseError]) -> np.ndarray:
+    """:func:`finite_float` over a whole sequence, as one float64 array.
+
+    Element types are checked once per distinct type and finiteness in one
+    numpy pass, so per-``k`` value types stay cheap inside the sweep.
+    """
+    values = tuple(values)
+    for kind in set(map(type, values)):
+        if issubclass(kind, bool) or not issubclass(kind, _REAL):
+            raise error(f"{name} must be numbers, got a {kind.__name__}")
+    try:
+        array = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise error(f"{name} must be finite") from None
+    if not np.isfinite(array).all():
+        raise error(f"{name} must be finite")
+    return array
 
 
 class Outcome(IntEnum):
@@ -40,27 +102,6 @@ class Outcome(IntEnum):
 
     HEALTHY = 0
     DISEASED = 1
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One subject: a continuous risk score plus its true outcome."""
-
-    score: float
-    outcome: Outcome
-
-    def __post_init__(self) -> None:
-        score = float(self.score)
-        if not math.isfinite(score):
-            raise InvariantViolationError("sample score must be finite")
-        try:
-            outcome = Outcome(self.outcome)
-        except ValueError:
-            raise InvariantViolationError(
-                f"sample outcome must be 0 or 1, got {self.outcome!r}"
-            ) from None
-        object.__setattr__(self, "score", score)
-        object.__setattr__(self, "outcome", outcome)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +120,13 @@ class Cohort:
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = np.array(self.scores, dtype=np.float64, copy=True)
-        outcomes = np.array(self.outcomes, dtype=np.int64, copy=True)
+        try:
+            scores = np.array(self.scores, dtype=np.float64, copy=True)
+            outcomes = np.array(self.outcomes, dtype=np.int64, copy=True)
+        except (TypeError, ValueError, OverflowError):
+            raise InvariantViolationError(
+                "cohort scores and outcomes must be numeric"
+            ) from None
         if scores.ndim != 1 or outcomes.ndim != 1:
             raise InvariantViolationError("cohort arrays must be one-dimensional")
         if scores.shape[0] != outcomes.shape[0]:
@@ -96,14 +142,6 @@ class Cohort:
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "outcomes", outcomes)
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[LabeledSample]) -> "Cohort":
-        items = list(samples)
-        return cls(
-            scores=np.array([s.score for s in items], dtype=np.float64),
-            outcomes=np.array([int(s.outcome) for s in items], dtype=np.int64),
-        )
-
     def __len__(self) -> int:
         return int(self.scores.shape[0])
 
@@ -114,13 +152,6 @@ class Cohort:
     @property
     def n_healthy(self) -> int:
         return int(np.sum(self.outcomes == 0))
-
-    @property
-    def samples(self) -> tuple[LabeledSample, ...]:
-        return tuple(
-            LabeledSample(float(s), Outcome(int(o)))
-            for s, o in zip(self.scores, self.outcomes)
-        )
 
 
 @dataclass(frozen=True)
@@ -136,20 +167,16 @@ class PartitionSpec:
     boundaries: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        k = int(self.k)
-        if k < 1:
-            raise InvariantViolationError(f"class count must be >= 1, got {k}")
-        boundaries = tuple(float(b) for b in self.boundaries)
-        if len(boundaries) != k - 1:
+        k = strict_int(self.k, "class count", InvariantViolationError, minimum=1)
+        boundaries = finite_floats(self.boundaries, "boundaries", InvariantViolationError)
+        if boundaries.size != k - 1:
             raise InvariantViolationError(
-                f"expected {k - 1} boundaries for k={k}, got {len(boundaries)}"
+                f"expected {k - 1} boundaries for k={k}, got {boundaries.size}"
             )
-        if any(not math.isfinite(b) for b in boundaries):
-            raise InvariantViolationError("boundaries must be finite")
-        if any(a > b for a, b in zip(boundaries, boundaries[1:])):
+        if (boundaries[1:] < boundaries[:-1]).any():
             raise InvariantViolationError("boundaries must be non-decreasing")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "boundaries", boundaries)
+        object.__setattr__(self, "boundaries", tuple(boundaries.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,9 +187,7 @@ class ScaleAssignment:
     class_indices: np.ndarray
 
     def __post_init__(self) -> None:
-        k = int(self.k)
-        if k < 1:
-            raise InvariantViolationError(f"class count must be >= 1, got {k}")
+        k = strict_int(self.k, "class count", InvariantViolationError, minimum=1)
         idx = np.array(self.class_indices, dtype=np.int64, copy=True)
         if idx.ndim != 1:
             raise InvariantViolationError("class indices must be one-dimensional")
@@ -193,13 +218,12 @@ class ConditionalPMF:
     conditioning_outcome: Outcome
 
     def __post_init__(self) -> None:
-        probs = tuple(float(p) for p in self.probs)
-        if len(probs) < 1:
+        array = finite_floats(self.probs, "pmf entries", InvariantViolationError)
+        if array.size < 1:
             raise InvariantViolationError("a pmf needs at least one class")
-        if any(not math.isfinite(p) for p in probs):
-            raise InvariantViolationError("pmf entries must be finite")
-        if any(p < 0.0 for p in probs):
+        if (array < 0.0).any():
             raise InvariantViolationError("pmf entries must be non-negative")
+        probs = tuple(array.tolist())
         total = math.fsum(probs)
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise InvariantViolationError(
@@ -232,18 +256,13 @@ class DiagnosticSummary:
     criterion_value: float
 
     def __post_init__(self) -> None:
-        c = int(self.c)
-        se = float(self.se)
-        sp = float(self.sp)
-        value = float(self.criterion_value)
-        if c < 1:
-            raise InvariantViolationError(f"threshold index must be >= 1, got {c}")
-        if not 0.0 <= se <= 1.0 or not 0.0 <= sp <= 1.0:
-            raise InvariantViolationError("se and sp must lie in [0, 1]")
+        c = strict_int(self.c, "threshold index", InvariantViolationError, minimum=1)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "se", se)
-        object.__setattr__(self, "sp", sp)
-        object.__setattr__(self, "criterion_value", value)
+        for name in ("se", "sp", "criterion_value"):
+            value = finite_float(getattr(self, name), name, InvariantViolationError)
+            object.__setattr__(self, name, value)
+        if not 0.0 <= self.se <= 1.0 or not 0.0 <= self.sp <= 1.0:
+            raise InvariantViolationError("se and sp must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -256,6 +275,14 @@ class ScaleAnalysis:
     roc: tuple[tuple[float, float], ...]
     summary: DiagnosticSummary
     criterion: ThresholdCriterion
+
+    def __post_init__(self) -> None:
+        if any(len(point) != 2 for point in self.roc):
+            raise InvariantViolationError("roc points must be (fpr, tpr) pairs")
+        flat = finite_floats(
+            itertools.chain.from_iterable(self.roc), "roc points", InvariantViolationError
+        ).tolist()
+        object.__setattr__(self, "roc", tuple(zip(flat[::2], flat[1::2])))
 
 
 def _tail_sums(probs: Sequence[float]) -> np.ndarray:
@@ -285,17 +312,6 @@ def _head_sums(probs: Sequence[float]) -> np.ndarray:
     return out
 
 
-def _check_threshold(c: int, k: int) -> int:
-    if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-        raise ThresholdOutOfRangeError(f"threshold must be an integer, got {c!r}")
-    c = int(c)
-    if not 1 <= c <= k + 1:
-        raise ThresholdOutOfRangeError(
-            f"threshold {c} outside 1..{k + 1} for a {k}-class scale"
-        )
-    return c
-
-
 def discretize(cohort: Cohort, k: int) -> tuple[PartitionSpec, ScaleAssignment]:
     """Bin cohort scores into ``k`` classes at pooled sample quantiles.
 
@@ -304,11 +320,7 @@ def discretize(cohort: Cohort, k: int) -> tuple[PartitionSpec, ScaleAssignment]:
     ``score <= boundary_j``, else class ``k``.  Tied scores always share a
     class, so heavy ties can leave interior classes empty.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise InvalidClassCountError(f"class count must be an integer, got {k!r}")
-    k = int(k)
-    if k < 1:
-        raise InvalidClassCountError(f"class count must be >= 1, got {k}")
+    k = strict_int(k, "class count", InvalidClassCountError, minimum=1)
     n = len(cohort)
     if n == 0:
         raise EmptyInputError("cannot discretize an empty cohort")
@@ -316,11 +328,9 @@ def discretize(cohort: Cohort, k: int) -> tuple[PartitionSpec, ScaleAssignment]:
         raise InsufficientSamplesError(f"k={k} exceeds cohort size n={n}")
     ordered = np.sort(cohort.scores)
     ranks = (np.arange(1, k) * n + k - 1) // k
-    boundaries = tuple(float(b) for b in ordered[ranks - 1])
-    indices = 1 + np.searchsorted(
-        np.asarray(boundaries, dtype=np.float64), cohort.scores, side="left"
-    )
-    spec = PartitionSpec(k=k, boundaries=boundaries)
+    boundaries = ordered[ranks - 1]
+    indices = 1 + np.searchsorted(boundaries, cohort.scores, side="left")
+    spec = PartitionSpec(k=k, boundaries=boundaries.tolist())
     assignment = ScaleAssignment(k=k, class_indices=indices.astype(np.int64))
     return spec, assignment
 
@@ -347,12 +357,10 @@ def estimate_conditional_pmfs(
     counts1 = np.bincount(idx[cohort.outcomes == 1], minlength=k + 1)[1:]
     counts0 = np.bincount(idx[cohort.outcomes == 0], minlength=k + 1)[1:]
     pmf1 = ConditionalPMF(
-        probs=tuple(float(c) / n1 for c in counts1),
-        conditioning_outcome=Outcome.DISEASED,
+        probs=(counts1 / n1).tolist(), conditioning_outcome=Outcome.DISEASED
     )
     pmf0 = ConditionalPMF(
-        probs=tuple(float(c) / n0 for c in counts0),
-        conditioning_outcome=Outcome.HEALTHY,
+        probs=(counts0 / n0).tolist(), conditioning_outcome=Outcome.HEALTHY
     )
     return pmf1, pmf0
 
@@ -363,7 +371,7 @@ def sensitivity(pmf: ConditionalPMF, c: int) -> float:
     Meaningful as sensitivity when ``pmf`` conditions on the diseased
     outcome.  ``c`` may be ``k + 1``, the call-nobody-positive sentinel.
     """
-    c = _check_threshold(c, pmf.k)
+    c = strict_int(c, "threshold", ThresholdOutOfRangeError, minimum=1, maximum=pmf.k + 1)
     return float(_tail_sums(pmf.probs)[c - 1])
 
 
@@ -373,7 +381,7 @@ def specificity(pmf: ConditionalPMF, c: int) -> float:
     Meaningful as specificity when ``pmf`` conditions on the healthy
     outcome.
     """
-    c = _check_threshold(c, pmf.k)
+    c = strict_int(c, "threshold", ThresholdOutOfRangeError, minimum=1, maximum=pmf.k + 1)
     return float(_head_sums(pmf.probs)[c - 1])
 
 

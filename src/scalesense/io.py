@@ -13,7 +13,7 @@ import csv
 import io as _stdio
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -25,6 +25,7 @@ from .core import (
     PartitionSpec,
     ScaleAnalysis,
     ThresholdCriterion,
+    strict_int,
 )
 from .errors import (
     EmptyInputError,
@@ -37,7 +38,7 @@ from .simulate import CohortSpec, ExperimentReport, SweepRecord
 
 SCHEMA_VERSION = "1"
 
-FLAT_CSV_HEADER = ("k", "mean_se", "sd_se", "mean_sp", "sd_sp", "mean_c")
+FLAT_CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,15 @@ class Provenance:
     seed: Optional[int]
     tool_version: str
     timestamp: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.seed is not None:
+            seed = strict_int(self.seed, "provenance seed", InvariantViolationError)
+            object.__setattr__(self, "seed", seed)
+        if not isinstance(self.tool_version, str):
+            raise InvariantViolationError("tool_version must be a string")
+        if self.timestamp is not None and not isinstance(self.timestamp, str):
+            raise InvariantViolationError("timestamp must be a string or None")
 
 
 @dataclass(frozen=True)
@@ -98,18 +108,11 @@ def load_cohort(
         if not rows:
             raise EmptyInputError(f"{path} has no rows")
         header = [h.strip() for h in rows[0]]
-        try:
-            score_idx = header.index(schema.score_column)
-        except ValueError:
-            raise SchemaError(
-                f"missing column '{schema.score_column}' in {path}"
-            ) from None
-        try:
-            outcome_idx = header.index(schema.outcome_column)
-        except ValueError:
-            raise SchemaError(
-                f"missing column '{schema.outcome_column}' in {path}"
-            ) from None
+        for column in (schema.score_column, schema.outcome_column):
+            if column not in header:
+                raise SchemaError(f"missing column '{column}' in {path}")
+        score_idx = header.index(schema.score_column)
+        outcome_idx = header.index(schema.outcome_column)
         data = rows[1:]
     else:
         score_idx, outcome_idx = 0, 1
@@ -168,56 +171,32 @@ def _write_text(path: Union[str, Path], text: str) -> None:
         raise FileIOError(f"cannot write {path}: {exc}") from exc
 
 
-def _spec_to_dict(spec: CohortSpec) -> dict:
-    return {
-        "n": spec.n,
-        "prevalence": spec.prevalence,
-        "mu_healthy": spec.mu_healthy,
-        "mu_diseased": spec.mu_diseased,
-        "sigma": spec.sigma,
-        "seed": spec.seed,
-    }
+def _fields(value) -> dict:
+    """A dataclass as a JSON object: its fields, in declaration order."""
+    return {f.name: getattr(value, f.name) for f in fields(value)}
 
 
 def _payload_to_dict(payload: Union[ExperimentReport, ScaleAnalysis]) -> dict:
+    if not isinstance(payload, (ExperimentReport, ScaleAnalysis)):
+        raise SchemaError(f"unsupported payload type {type(payload).__name__}")
     if isinstance(payload, ExperimentReport):
         return {
             "kind": "partition_sweep",
-            "spec": _spec_to_dict(payload.spec),
+            "spec": _fields(payload.spec),
             "criterion": payload.criterion.value,
             "reps": payload.reps,
-            "k_values": list(payload.k_values),
-            "records": [
-                {
-                    "k": r.k,
-                    "mean_se": r.mean_se,
-                    "sd_se": r.sd_se,
-                    "mean_sp": r.mean_sp,
-                    "sd_sp": r.sd_sp,
-                    "mean_c": r.mean_c,
-                }
-                for r in payload.records
-            ],
+            "k_values": payload.k_values,
+            "records": [_fields(r) for r in payload.records],
         }
-    if isinstance(payload, ScaleAnalysis):
-        return {
-            "kind": "scale_analysis",
-            "criterion": payload.criterion.value,
-            "partition": {
-                "k": payload.partition.k,
-                "boundaries": list(payload.partition.boundaries),
-            },
-            "pmf_diseased": list(payload.pmf_diseased.probs),
-            "pmf_healthy": list(payload.pmf_healthy.probs),
-            "roc_points": [list(point) for point in payload.roc],
-            "summary": {
-                "c": payload.summary.c,
-                "se": payload.summary.se,
-                "sp": payload.summary.sp,
-                "criterion_value": payload.summary.criterion_value,
-            },
-        }
-    raise SchemaError(f"unsupported payload type {type(payload).__name__}")
+    return {
+        "kind": "scale_analysis",
+        "criterion": payload.criterion.value,
+        "partition": _fields(payload.partition),
+        "pmf_diseased": payload.pmf_diseased.probs,
+        "pmf_healthy": payload.pmf_healthy.probs,
+        "roc_points": payload.roc,
+        "summary": _fields(payload.summary),
+    }
 
 
 def write_report(
@@ -232,11 +211,7 @@ def write_report(
     if fmt == "structured-json":
         body = {
             "schema_version": document.schema_version,
-            "provenance": {
-                "seed": document.provenance.seed,
-                "tool_version": document.provenance.tool_version,
-                "timestamp": document.provenance.timestamp,
-            },
+            "provenance": _fields(document.provenance),
             "payload": _payload_to_dict(document.payload),
         }
         _write_text(path, json.dumps(body, indent=2) + "\n")
@@ -245,37 +220,83 @@ def write_report(
             raise SchemaError("flat-csv output is defined for sweep reports only")
         lines = [",".join(FLAT_CSV_HEADER)]
         for record in sorted(document.payload.records, key=lambda r: r.k):
-            lines.append(
-                ",".join(
-                    [str(record.k)]
-                    + [
-                        format(value, ".12g")
-                        for value in (
-                            record.mean_se,
-                            record.sd_se,
-                            record.mean_sp,
-                            record.sd_sp,
-                            record.mean_c,
-                        )
-                    ]
-                )
-            )
+            lines.append(",".join(_csv_cell(v) for v in _fields(record).values()))
         _write_text(path, "\n".join(lines) + "\n")
     else:
         raise SchemaError(f"unknown report format {fmt!r}")
 
 
-def _require(mapping: dict, key: str, context: str):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise SchemaError(f"report {context} lacks key '{key}'")
-    return mapping[key]
+def _csv_cell(value) -> str:
+    return str(value) if isinstance(value, int) else format(value, ".12g")
 
 
-def _parse_criterion(value, context: str) -> ThresholdCriterion:
+def _build(cls, mapping, context: str, keys: Optional[dict] = None, **decoders):
+    """Construct ``cls`` from the decoded JSON object ``mapping``.
+
+    ``mapping`` must hold one key per field of ``cls``; ``keys`` renames
+    fields whose JSON key differs.  ``decoders`` turn a raw JSON value into
+    the field's value, called as ``decode(raw, key)``.  The constructor
+    then validates every value.
+    """
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"report {context} must be a JSON object")
+    values = {}
+    for f in fields(cls):
+        key = (keys or {}).get(f.name, f.name)
+        if key not in mapping:
+            raise SchemaError(f"report {context} lacks key '{key}'")
+        decode = decoders.get(f.name)
+        values[f.name] = decode(mapping[key], key) if decode else mapping[key]
+    return cls(**values)
+
+
+def _items(value, key: str) -> tuple:
+    if not isinstance(value, list):
+        raise SchemaError(f"report {key} must be a JSON list")
+    return tuple(value)
+
+
+def _version(value, key: str) -> str:
+    if value != SCHEMA_VERSION:
+        raise SchemaError(f"unsupported {key} {value!r}, expected {SCHEMA_VERSION!r}")
+    return value
+
+
+def _criterion(value, key: str) -> ThresholdCriterion:
     try:
         return ThresholdCriterion(value)
     except ValueError:
-        raise SchemaError(f"report {context} has unknown criterion {value!r}") from None
+        raise SchemaError(f"report {key} has unknown criterion {value!r}") from None
+
+
+def _payload(mapping, key: str) -> Union[ExperimentReport, ScaleAnalysis]:
+    kind = mapping.get("kind") if isinstance(mapping, dict) else None
+    if kind == "partition_sweep":
+        return _build(
+            ExperimentReport,
+            mapping,
+            key,
+            spec=lambda v, k: _build(CohortSpec, v, k),
+            criterion=_criterion,
+            k_values=_items,
+            records=lambda v, k: tuple(
+                _build(SweepRecord, r, "record") for r in _items(v, k)
+            ),
+        )
+    if kind == "scale_analysis":
+        return _build(
+            ScaleAnalysis,
+            mapping,
+            key,
+            keys={"roc": "roc_points"},
+            partition=lambda v, k: _build(PartitionSpec, v, k, boundaries=_items),
+            pmf_diseased=lambda v, k: ConditionalPMF(_items(v, k), Outcome.DISEASED),
+            pmf_healthy=lambda v, k: ConditionalPMF(_items(v, k), Outcome.HEALTHY),
+            roc=lambda v, k: tuple(_items(point, k) for point in _items(v, k)),
+            summary=lambda v, k: _build(DiagnosticSummary, v, k),
+            criterion=_criterion,
+        )
+    raise SchemaError(f"unknown payload kind {kind!r}")
 
 
 def read_report(path: Union[str, Path]) -> ReportDocument:
@@ -283,6 +304,8 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
 
     Inverse of :func:`write_report` for the ``structured-json`` format:
     reading a written document reproduces it exactly, floats included.
+    Every value is checked by the constructor it is passed to, so a
+    malformed report fails with a :class:`ScaleSenseError`.
     """
     path = Path(path)
     try:
@@ -293,78 +316,11 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
         body = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-
-    version = _require(body, "schema_version", "envelope")
-    prov = _require(body, "provenance", "envelope")
-    payload_dict = _require(body, "payload", "envelope")
-    provenance = Provenance(
-        seed=_require(prov, "seed", "provenance"),
-        tool_version=_require(prov, "tool_version", "provenance"),
-        timestamp=_require(prov, "timestamp", "provenance"),
-    )
-    kind = _require(payload_dict, "kind", "payload")
-    if kind == "partition_sweep":
-        spec_dict = _require(payload_dict, "spec", "payload")
-        spec = CohortSpec(
-            n=_require(spec_dict, "n", "spec"),
-            prevalence=_require(spec_dict, "prevalence", "spec"),
-            mu_healthy=_require(spec_dict, "mu_healthy", "spec"),
-            mu_diseased=_require(spec_dict, "mu_diseased", "spec"),
-            sigma=_require(spec_dict, "sigma", "spec"),
-            seed=_require(spec_dict, "seed", "spec"),
-        )
-        records = tuple(
-            SweepRecord(
-                k=_require(r, "k", "record"),
-                mean_se=_require(r, "mean_se", "record"),
-                sd_se=_require(r, "sd_se", "record"),
-                mean_sp=_require(r, "mean_sp", "record"),
-                sd_sp=_require(r, "sd_sp", "record"),
-                mean_c=_require(r, "mean_c", "record"),
-            )
-            for r in _require(payload_dict, "records", "payload")
-        )
-        payload: Union[ExperimentReport, ScaleAnalysis] = ExperimentReport(
-            spec=spec,
-            criterion=_parse_criterion(
-                _require(payload_dict, "criterion", "payload"), "payload"
-            ),
-            reps=_require(payload_dict, "reps", "payload"),
-            k_values=tuple(_require(payload_dict, "k_values", "payload")),
-            records=records,
-        )
-    elif kind == "scale_analysis":
-        partition_dict = _require(payload_dict, "partition", "payload")
-        summary_dict = _require(payload_dict, "summary", "payload")
-        payload = ScaleAnalysis(
-            partition=PartitionSpec(
-                k=_require(partition_dict, "k", "partition"),
-                boundaries=tuple(_require(partition_dict, "boundaries", "partition")),
-            ),
-            pmf_diseased=ConditionalPMF(
-                probs=tuple(_require(payload_dict, "pmf_diseased", "payload")),
-                conditioning_outcome=Outcome.DISEASED,
-            ),
-            pmf_healthy=ConditionalPMF(
-                probs=tuple(_require(payload_dict, "pmf_healthy", "payload")),
-                conditioning_outcome=Outcome.HEALTHY,
-            ),
-            roc=tuple(
-                (float(point[0]), float(point[1]))
-                for point in _require(payload_dict, "roc_points", "payload")
-            ),
-            summary=DiagnosticSummary(
-                c=_require(summary_dict, "c", "summary"),
-                se=_require(summary_dict, "se", "summary"),
-                sp=_require(summary_dict, "sp", "summary"),
-                criterion_value=_require(summary_dict, "criterion_value", "summary"),
-            ),
-            criterion=_parse_criterion(
-                _require(payload_dict, "criterion", "payload"), "payload"
-            ),
-        )
-    else:
-        raise SchemaError(f"unknown payload kind {kind!r}")
-    return ReportDocument(
-        schema_version=version, provenance=provenance, payload=payload
+    return _build(
+        ReportDocument,
+        body,
+        "envelope",
+        schema_version=_version,
+        provenance=lambda v, k: _build(Provenance, v, k),
+        payload=_payload,
     )

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Optional
 
 from .core import MASS_TOLERANCE, ConditionalPMF, Outcome, sensitivity
+from .core import finite_float, finite_floats, strict_int
 from .errors import (
     DimensionMismatchError,
     EmptyGridError,
@@ -75,7 +76,9 @@ class RefinementWitness:
     c_prime: int
 
     def __post_init__(self) -> None:
-        deltas = tuple(float(d) for d in self.deltas)
+        deltas = tuple(
+            finite_floats(self.deltas, "deltas", InvariantViolationError).tolist()
+        )
         k = self.base.k
         if len(deltas) != k:
             raise InvariantViolationError(
@@ -94,14 +97,10 @@ class RefinementWitness:
             raise InvariantViolationError(
                 "appended class must hold exactly the shaved mass"
             )
-        c = int(self.c)
-        c_prime = int(self.c_prime)
-        if not 1 <= c <= k:
-            raise InvariantViolationError(f"c must lie in 1..{k}, got {c}")
-        if not 1 <= c_prime <= k + 1:
-            raise InvariantViolationError(
-                f"c_prime must lie in 1..{k + 1}, got {c_prime}"
-            )
+        c = strict_int(self.c, "c", InvariantViolationError, minimum=1, maximum=k)
+        c_prime = strict_int(
+            self.c_prime, "c_prime", InvariantViolationError, minimum=1, maximum=k + 1
+        )
         object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "c_prime", c_prime)
@@ -119,7 +118,7 @@ class RefinementWitness:
         refined = apply_refinement(base, deltas, validate_deltas=validate_deltas)
         return cls(
             base=base,
-            deltas=tuple(float(d) for d in deltas),
+            deltas=deltas,
             refined=refined,
             c=c,
             c_prime=c_prime,
@@ -138,13 +137,11 @@ def apply_refinement(
     non-negativity requirement so deliberately malformed refinements can be
     studied, but the refined vector must still be a valid pmf.
     """
-    deltas = tuple(float(d) for d in deltas)
+    deltas = tuple(finite_floats(deltas, "deltas", InvalidDeltaError).tolist())
     if len(deltas) != base.k:
         raise DimensionMismatchError(
             f"expected {base.k} deltas, got {len(deltas)}"
         )
-    if any(not math.isfinite(d) for d in deltas):
-        raise InvalidDeltaError("deltas must be finite")
     if validate_deltas:
         for i, (p, d) in enumerate(zip(base.probs, deltas)):
             if d < 0.0:
@@ -242,11 +239,8 @@ def search_counterexample(
     shavings (mass moved down-scale).  With validation on and the condition
     enforced the search is expected to come up empty.
     """
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise InvalidClassCountError(f"class count must be an integer, got {k!r}")
-    if k < 2:
-        raise InvalidClassCountError(f"class count must be >= 2, got {k}")
-    grid_step = float(grid_step)
+    k = strict_int(k, "class count", InvalidClassCountError, minimum=2)
+    grid_step = finite_float(grid_step, "grid step", EmptyGridError)
     if not 0.0 < grid_step <= 0.5:
         raise EmptyGridError(f"grid step must lie in (0, 0.5], got {grid_step!r}")
     units = round(1.0 / grid_step)

@@ -9,7 +9,6 @@ studied empirically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,7 +18,9 @@ from .core import (
     Cohort,
     discretize,
     estimate_conditional_pmfs,
+    finite_float,
     select_threshold,
+    strict_int,
 )
 from .errors import (
     EmptyExperimentError,
@@ -53,35 +54,26 @@ class CohortSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        n = int(self.n)
-        if n < 2:
-            raise SpecValidationError(f"cohort size must be >= 2, got {n}")
-        prevalence = float(self.prevalence)
-        if not 0.0 < prevalence < 1.0:
+        n = strict_int(self.n, "cohort size", SpecValidationError, minimum=2)
+        seed = strict_int(
+            self.seed, "seed", SpecValidationError, minimum=0, maximum=_SEED_BOUND - 1
+        )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
+        for name in ("prevalence", "mu_healthy", "mu_diseased", "sigma"):
+            value = finite_float(getattr(self, name), name, SpecValidationError)
+            object.__setattr__(self, name, value)
+        if not 0.0 < self.prevalence < 1.0:
             raise SpecValidationError(
-                f"prevalence must lie strictly inside (0, 1), got {prevalence!r}"
+                f"prevalence must lie strictly inside (0, 1), got {self.prevalence!r}"
             )
-        mu_healthy = float(self.mu_healthy)
-        mu_diseased = float(self.mu_diseased)
-        sigma = float(self.sigma)
-        if not all(map(math.isfinite, (mu_healthy, mu_diseased, sigma))):
-            raise SpecValidationError("means and sigma must be finite")
-        if not mu_diseased > mu_healthy:
+        if not self.mu_diseased > self.mu_healthy:
             raise SpecValidationError(
                 f"diseased mean must exceed healthy mean, got "
-                f"{mu_diseased!r} <= {mu_healthy!r}"
+                f"{self.mu_diseased!r} <= {self.mu_healthy!r}"
             )
-        if not sigma > 0.0:
-            raise SpecValidationError(f"sigma must be positive, got {sigma!r}")
-        seed = int(self.seed)
-        if not 0 <= seed < _SEED_BOUND:
-            raise SpecValidationError("seed must be an unsigned 64-bit integer")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "prevalence", prevalence)
-        object.__setattr__(self, "mu_healthy", mu_healthy)
-        object.__setattr__(self, "mu_diseased", mu_diseased)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "seed", seed)
+        if not self.sigma > 0.0:
+            raise SpecValidationError(f"sigma must be positive, got {self.sigma!r}")
 
 
 @dataclass(frozen=True)
@@ -96,16 +88,18 @@ class SweepRecord:
     mean_c: float
 
     def __post_init__(self) -> None:
-        if int(self.k) < 2:
-            raise InvariantViolationError(f"k must be >= 2, got {self.k}")
+        k = strict_int(self.k, "k", InvariantViolationError, minimum=2)
+        object.__setattr__(self, "k", k)
+        for name in ("mean_se", "sd_se", "mean_sp", "sd_sp", "mean_c"):
+            value = finite_float(getattr(self, name), name, InvariantViolationError)
+            object.__setattr__(self, name, value)
         for name in ("mean_se", "mean_sp"):
-            value = float(getattr(self, name))
-            if not -1e-12 <= value <= 1.0 + 1e-12:
+            if not -1e-12 <= getattr(self, name) <= 1.0 + 1e-12:
                 raise InvariantViolationError(f"{name} must lie in [0, 1]")
         for name in ("sd_se", "sd_sp"):
-            if float(getattr(self, name)) < 0.0:
+            if getattr(self, name) < 0.0:
                 raise InvariantViolationError(f"{name} must be >= 0")
-        if float(self.mean_c) < 1.0:
+        if self.mean_c < 1.0:
             raise InvariantViolationError("mean_c must be >= 1")
 
 
@@ -120,10 +114,14 @@ class ExperimentReport:
     records: tuple[SweepRecord, ...]
 
     def __post_init__(self) -> None:
-        if len(self.records) != len(self.k_values):
-            raise InvariantViolationError("one record per requested k value")
-        if any(r.k != k for r, k in zip(self.records, self.k_values)):
-            raise InvariantViolationError("records must align with k_values")
+        reps = strict_int(self.reps, "replications", EmptyExperimentError, minimum=1)
+        k_values = tuple(
+            strict_int(k, "class count", InvalidClassCountError) for k in self.k_values
+        )
+        if tuple(r.k for r in self.records) != k_values:
+            raise InvariantViolationError("need one record per k value, in order")
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "k_values", k_values)
 
 
 def replication_seed(master_seed: int, replication: int) -> int:
@@ -160,17 +158,13 @@ def run_partition_sweep(
     are aggregated per ``k``.  A draw that leaves one outcome group empty
     fails downstream with a degenerate-cohort error.
     """
-    reps = int(reps)
-    if reps < 1:
-        raise EmptyExperimentError(f"need at least one replication, got {reps}")
-    ks = tuple(int(k) for k in k_values)
+    reps = strict_int(reps, "replications", EmptyExperimentError, minimum=1)
+    ks = tuple(
+        strict_int(k, "class count", InvalidClassCountError, minimum=2, maximum=spec.n)
+        for k in k_values
+    )
     if not ks:
         raise EmptyExperimentError("need at least one class count to sweep")
-    for k in ks:
-        if not 2 <= k <= spec.n:
-            raise InvalidClassCountError(
-                f"swept class counts must lie in 2..n={spec.n}, got {k}"
-            )
 
     se = np.empty((reps, len(ks)), dtype=np.float64)
     sp = np.empty((reps, len(ks)), dtype=np.float64)

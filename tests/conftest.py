@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -59,6 +62,16 @@ def integer_score_cohorts(draw, min_n=2, max_n=60):
     scores = draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
     outcomes = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return Cohort(scores=[float(s) for s in scores], outcomes=outcomes)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def source_tree_on_child_path():
+    """Interpreters that tests start (``python -m scalesense``) import this
+    checkout's ``src``, as the test process itself does via ``pythonpath``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", str(src), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

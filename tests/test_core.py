@@ -10,12 +10,12 @@ from scalesense import (
     Cohort,
     ConditionalPMF,
     DegenerateCohortError,
+    DiagnosticSummary,
     DimensionMismatchError,
     EmptyInputError,
     InsufficientSamplesError,
     InvalidClassCountError,
     InvariantViolationError,
-    LabeledSample,
     Outcome,
     PartitionSpec,
     ScaleAssignment,
@@ -33,16 +33,6 @@ from conftest import integer_score_cohorts, pmf_pairs, pmfs
 
 
 class TestValueTypes:
-    def test_sample_rejects_non_finite_score(self):
-        with pytest.raises(InvariantViolationError):
-            LabeledSample(score=float("nan"), outcome=Outcome.HEALTHY)
-        with pytest.raises(InvariantViolationError):
-            LabeledSample(score=float("inf"), outcome=Outcome.DISEASED)
-
-    def test_sample_rejects_non_binary_outcome(self):
-        with pytest.raises(InvariantViolationError):
-            LabeledSample(score=0.0, outcome=2)
-
     def test_cohort_rejects_misaligned_arrays(self):
         with pytest.raises(AlignmentError):
             Cohort(scores=[1.0, 2.0], outcomes=[0])
@@ -56,10 +46,32 @@ class TestValueTypes:
         assert len(cohort) == 3
         assert cohort.n_diseased == 2
         assert cohort.n_healthy == 1
-        assert cohort.samples[1] == LabeledSample(2.0, Outcome.DISEASED)
-        rebuilt = Cohort.from_samples(cohort.samples)
-        assert np.array_equal(rebuilt.scores, cohort.scores)
-        assert np.array_equal(rebuilt.outcomes, cohort.outcomes)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Cohort(scores=["a"], outcomes=[0]),
+            lambda: PartitionSpec(k=2.7, boundaries=(1.0,)),
+            lambda: PartitionSpec(k=2, boundaries=(True,)),
+            lambda: ScaleAssignment(k=2.0, class_indices=[1, 2]),
+            lambda: ConditionalPMF(probs=(1.0, False), conditioning_outcome=Outcome.HEALTHY),
+            lambda: DiagnosticSummary(c=1.0, se=0.5, sp=0.5, criterion_value=0.0),
+            lambda: DiagnosticSummary(c=1, se="0.5", sp=0.5, criterion_value=0.0),
+        ],
+        ids=[
+            "cohort-text-score",
+            "partition-fractional-k",
+            "partition-bool-boundary",
+            "assignment-float-k",
+            "pmf-bool-entry",
+            "summary-float-c",
+            "summary-text-se",
+        ],
+    )
+    def test_rejects_values_that_would_be_coerced(self, build):
+        with pytest.raises(InvariantViolationError) as excinfo:
+            build()
+        assert excinfo.value.code == "invariant-violation"
 
     def test_cohort_arrays_are_frozen(self):
         cohort = Cohort(scores=[1.0], outcomes=[0])

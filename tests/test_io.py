@@ -16,6 +16,7 @@ from scalesense import (
     ParseError,
     Provenance,
     ReportDocument,
+    ScaleSenseError,
     SchemaError,
     SweepRecord,
     ThresholdCriterion,
@@ -171,6 +172,74 @@ def sweep_document():
     )
 
 
+def analysis_document():
+    rng = np.random.default_rng(11)
+    scores = np.concatenate([rng.normal(0, 1, 30), rng.normal(1, 1, 30)])
+    outcomes = np.repeat([0, 1], 30)
+    return ReportDocument(
+        schema_version="1",
+        provenance=Provenance(seed=None, tool_version="0.1.0", timestamp="t0"),
+        payload=analyze_cohort(Cohort(scores=scores, outcomes=outcomes), 4),
+    )
+
+
+def report_body(document, tmp_path):
+    path = tmp_path / "source.json"
+    write_report(document, path)
+    return json.loads(path.read_text())
+
+
+def json_paths(node, prefix=()):
+    """Every position in a decoded JSON tree, as a tuple of keys and indices."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+def mutate(body, path, value=None, drop=False):
+    body = json.loads(json.dumps(body))
+    parent = body
+    for key in path[:-1]:
+        parent = parent[key]
+    if drop:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return body
+
+
+def same_json(rewritten, original):
+    """Equal JSON trees, down to key order and float bits, except that an
+    integer in a float field reads back as the equal float."""
+    if type(original) is int and type(rewritten) is float:
+        return rewritten == float(original)
+    if type(rewritten) is not type(original):
+        return False
+    if isinstance(original, dict):
+        return list(rewritten) == list(original) and all(
+            same_json(rewritten[key], original[key]) for key in original
+        )
+    if isinstance(original, list):
+        return len(rewritten) == len(original) and all(
+            map(same_json, rewritten, original)
+        )
+    return repr(rewritten) == repr(original)
+
+
+JSON_REPLACEMENTS = st.one_of(
+    st.none(),
+    st.text(max_size=6),
+    st.booleans(),
+    st.floats(),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-9),
+    st.lists(st.one_of(st.integers(), st.floats(), st.none()), max_size=3),
+)
+
+
 class TestReports:
     def test_json_round_trip_of_a_sweep(self, tmp_path):
         document = sweep_document()
@@ -241,6 +310,51 @@ class TestReports:
         path.write_text(json.dumps({"schema_version": "1"}))
         with pytest.raises(SchemaError):
             read_report(path)
+
+    @pytest.mark.parametrize(
+        "path, value, code",
+        [
+            (("schema_version",), "99", "schema-error"),
+            (("payload", "reps"), -5, "empty-experiment"),
+            (("payload", "spec", "seed"), 1.9, "spec-validation-error"),
+            (("provenance", "seed"), "x", "invariant-violation"),
+            (("payload", "records"), None, "schema-error"),
+            (("payload", "k_values"), 5, "schema-error"),
+            (("payload", "records", 0, "k"), "abc", "invariant-violation"),
+            (("payload", "records", 0, "mean_se"), "x", "invariant-violation"),
+        ],
+        ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else None,
+    )
+    def test_malformed_values_are_domain_errors(self, tmp_path, path, value, code):
+        body = mutate(report_body(sweep_document(), tmp_path), path, value)
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(body))
+        with pytest.raises(ScaleSenseError) as excinfo:
+            read_report(target)
+        assert excinfo.value.code == code
+
+    @pytest.mark.parametrize("make", [sweep_document, analysis_document])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_reports_fail_cleanly_or_round_trip(
+        self, tmp_path_factory, make, data
+    ):
+        tmp_path = tmp_path_factory.mktemp("fuzz")
+        original = report_body(make(), tmp_path)
+        path = data.draw(st.sampled_from(list(json_paths(original))[1:]))
+        if isinstance(path[-1], str) and data.draw(st.booleans()):
+            body = mutate(original, path, drop=True)
+        else:
+            body = mutate(original, path, data.draw(JSON_REPLACEMENTS))
+        source, rewrite = tmp_path / "mutated.json", tmp_path / "rewrite.json"
+        source.write_text(json.dumps(body, indent=2) + "\n")
+        try:
+            document = read_report(source)
+        except ScaleSenseError:
+            return
+        write_report(document, rewrite)
+        if source.read_bytes() != rewrite.read_bytes():
+            assert same_json(json.loads(rewrite.read_text()), body)
 
     def test_unknown_kind_is_a_schema_error(self, tmp_path):
         body = {

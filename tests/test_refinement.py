@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +98,13 @@ class TestWitnessInvariants:
             witness((0.6, 0.4), (0.1, 0.2), c=3, c_prime=2)
         with pytest.raises(InvariantViolationError):
             witness((0.6, 0.4), (0.1, 0.2), c=1, c_prime=4)
+
+    @pytest.mark.parametrize("field", ["c", "c_prime"])
+    def test_thresholds_are_not_truncated(self, field):
+        thresholds = {"c": 1, "c_prime": 2, field: 1.7}
+        with pytest.raises(InvariantViolationError) as excinfo:
+            witness((0.6, 0.4), (0.1, 0.2), **thresholds)
+        assert excinfo.value.code == "invariant-violation"
 
     def test_refined_must_match_base_minus_deltas(self):
         base = ConditionalPMF((0.6, 0.4), Outcome.DISEASED)
@@ -235,6 +243,15 @@ class TestSearchCounterexample:
         assert (found.c, found.c_prime) == (1, 3)
         assert sensitivity(found.base, 1) == 1.0
         assert sensitivity(found.refined, 3) == 0.0
+
+    def test_accepts_a_numpy_integer_class_count(self):
+        assert search_counterexample(np.int64(3), 0.5) is None
+
+    @pytest.mark.parametrize("k", [2.0, True, "2"])
+    def test_rejects_a_non_integer_class_count(self, k):
+        with pytest.raises(InvalidClassCountError) as excinfo:
+            search_counterexample(k, 0.5)
+        assert excinfo.value.code == "invalid-class-count"
 
     def test_requires_at_least_two_classes(self):
         with pytest.raises(InvalidClassCountError):

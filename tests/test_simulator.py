@@ -5,6 +5,7 @@ from scalesense import (
     CohortSpec,
     EmptyExperimentError,
     InvalidClassCountError,
+    ScaleSenseError,
     SpecValidationError,
     ThresholdCriterion,
     generate_cohort,
@@ -46,6 +47,21 @@ class TestCohortSpec:
             spec(seed=-1)
         with pytest.raises(SpecValidationError):
             spec(seed=2**64)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 5.9), ("n", 6.0), ("seed", True), ("seed", 1.9), ("sigma", "1"),
+         ("sigma", 10**400), ("sigma", np.float32("inf")),
+         ("mu_healthy", float("nan"))],
+    )
+    def test_rejects_values_that_would_be_coerced(self, field, value):
+        with pytest.raises(SpecValidationError) as excinfo:
+            spec(**{field: value})
+        assert excinfo.value.code == "spec-validation-error"
+
+    def test_accepts_numpy_scalars(self):
+        made = spec(n=np.int64(50), seed=np.uint64(7), sigma=np.float32(0.5))
+        assert (type(made.n), type(made.seed), type(made.sigma)) == (int, int, float)
 
 
 class TestGenerateCohort:
@@ -123,6 +139,20 @@ class TestPartitionSweep:
             run_partition_sweep(spec(), k_values=(1,), reps=1)
         with pytest.raises(InvalidClassCountError):
             run_partition_sweep(spec(n=100), k_values=(101,), reps=1)
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ({"reps": 2.5}, "empty-experiment"),
+            ({"reps": True}, "empty-experiment"),
+            ({"k_values": (2.5,)}, "invalid-class-count"),
+        ],
+    )
+    def test_rejects_non_integer_arguments(self, overrides, code):
+        arguments = {"k_values": (2,), "reps": 1, **overrides}
+        with pytest.raises(ScaleSenseError) as excinfo:
+            run_partition_sweep(spec(), **arguments)
+        assert excinfo.value.code == code
 
     def test_rejects_empty_k_list(self):
         with pytest.raises(EmptyExperimentError):
