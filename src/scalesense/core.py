@@ -54,12 +54,13 @@ def strict_int(
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
+    value = int(value)
     if (minimum is not None and value < minimum) or (
         maximum is not None and value > maximum
     ):
         bounds = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
         raise error(f"{name} must be {bounds}, got {value}")
-    return int(value)
+    return value
 
 
 def finite_float(value, name: str, error: type[ScaleSenseError]) -> float:
