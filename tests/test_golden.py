@@ -54,3 +54,30 @@ def test_analyze_report_bytes_are_pinned(tmp_path, capsys):
          "closest-topleft", "--out", str(report)]
     ) == 0
     assert sha256(report) == ANALYZE_JSON_SHA256
+
+
+@pytest.mark.parametrize(
+    "flags, stdout",
+    [
+        (
+            ["--k", "2", "--grid-step", "0.05", "--allow-negative-deltas",
+             "--no-enforce-assumption"],
+            "counterexample: base=0.0,1.0 deltas=-1.0,1.0 c=1 c_prime=2 "
+            "se_base=1.000000 se_refined=0.000000\n",
+        ),
+        (
+            ["--k", "4", "--grid-step", "0.05", "--no-enforce-assumption"],
+            "counterexample: base=0.0,0.0,0.0,1.0 deltas=0.0,0.0,0.0,0.0 c=1 "
+            "c_prime=5 se_base=1.000000 se_refined=0.000000\n",
+        ),
+        (
+            ["--k", "3", "--grid-step", "0.1"],
+            "counterexample: none (k=3, grid_step=0.1, "
+            "allow_negative_deltas=False, enforce_assumption=True)\n",
+        ),
+    ],
+    ids=["negative-deltas", "uncontrolled", "clean"],
+)
+def test_counterexample_stdout_is_pinned(capsys, flags, stdout):
+    assert run(["counterexample"] + flags) == 0
+    assert capsys.readouterr().out == stdout
