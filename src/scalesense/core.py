@@ -114,7 +114,8 @@ class Cohort:
     scores:
         Finite float64 risk scores, one per subject, in row order.
     outcomes:
-        int64 array of 0/1 labels aligned with ``scores``.
+        int64 array of 0/1 labels aligned with ``scores``.  Integer labels
+        only: bools, strings and fractions are rejected, not coerced.
     """
 
     scores: np.ndarray
@@ -122,8 +123,8 @@ class Cohort:
 
     def __post_init__(self) -> None:
         try:
-            scores = np.array(self.scores, dtype=np.float64, copy=True)
-            outcomes = np.array(self.outcomes, dtype=np.int64, copy=True)
+            scores = np.array(self.scores, copy=True)
+            outcomes = np.array(self.outcomes, copy=True)
         except (TypeError, ValueError, OverflowError):
             raise InvariantViolationError(
                 "cohort scores and outcomes must be numeric"
@@ -134,6 +135,13 @@ class Cohort:
             raise AlignmentError(
                 f"{scores.shape[0]} scores vs {outcomes.shape[0]} outcomes"
             )
+        if scores.size and (scores.dtype.kind not in "iuf" or outcomes.dtype.kind not in "iu"):
+            raise InvariantViolationError(
+                f"cohort needs real scores and integer outcomes, got {scores.dtype}"
+                f" and {outcomes.dtype}"
+            )
+        scores = scores.astype(np.float64, copy=False)
+        outcomes = outcomes.astype(np.int64, copy=False)
         if not np.all(np.isfinite(scores)):
             raise InvariantViolationError("all scores must be finite")
         if not np.isin(outcomes, (0, 1)).all():
@@ -230,9 +238,12 @@ class ConditionalPMF:
             raise InvariantViolationError(
                 f"pmf mass must be 1 within {MASS_TOLERANCE}, got {total!r}"
             )
-        outcome = Outcome(self.conditioning_outcome)
+        outcome = strict_int(
+            self.conditioning_outcome, "conditioning outcome", InvariantViolationError,
+            minimum=0, maximum=1,
+        )
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "conditioning_outcome", outcome)
+        object.__setattr__(self, "conditioning_outcome", Outcome(outcome))
 
     @property
     def k(self) -> int:

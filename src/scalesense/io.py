@@ -92,9 +92,10 @@ def load_cohort(
     """Read a cohort CSV, validating every row.
 
     Rows with an unparseable or non-finite score, or an outcome other than
-    0/1, fail with a parse error naming the 1-based data row.  A missing
-    column fails with a schema error; a file with no data rows fails with
-    empty-input.
+    0/1, fail with a parse error naming the 1-based data row, as do bytes
+    that are not UTF-8 and CSV the reader rejects (such as a field over the
+    ``csv`` module's size limit).  A missing column fails with a schema
+    error; a file with no data rows fails with empty-input.
     """
     schema = schema or CohortFileSchema()
     path = Path(path)
@@ -102,7 +103,12 @@ def load_cohort(
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise FileIOError(f"cannot read {path}: {exc}") from exc
-    rows = [row for row in csv.reader(_stdio.StringIO(text), delimiter=schema.delimiter)]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    try:
+        rows = list(csv.reader(_stdio.StringIO(text), delimiter=schema.delimiter))
+    except csv.Error as exc:
+        raise ParseError(f"{path} is not a readable CSV: {exc}") from exc
     rows = [row for row in rows if any(field.strip() for field in row)]
     if schema.has_header:
         if not rows:

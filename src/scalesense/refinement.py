@@ -6,13 +6,12 @@ appended class.  With thresholds ``c`` on the base scale and ``c'`` on the
 refined scale, sensitivity cannot drop as long as ``c <= c'`` and the base
 mass sitting between the two thresholds is covered by the shaved mass drawn
 from below ``c'`` (the mass-control condition).  Outside those conditions a
-drop is possible; :func:`search_counterexample` hunts for explicit witnesses
-on a rational grid.
+drop is possible; :func:`search_counterexample` derives the first explicit
+witness on a rational grid in closed form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -208,77 +207,52 @@ def verify_monotonicity(witness: RefinementWitness) -> MonotonicityVerdict:
     return MonotonicityVerdict(status=status, se_base=se_base, se_refined=se_refined)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` non-negative ints summing to ``total``, in
-    lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def search_counterexample(
     k: int,
     grid_step: float,
     allow_negative_deltas: bool = False,
     enforce_assumption: bool = True,
 ) -> Optional[RefinementWitness]:
-    """Exhaustively hunt for a sensitivity drop on a rational grid.
+    """Find the first sensitivity drop on a rational grid.
 
     Base pmfs and deltas range over multiples of ``grid_step``; thresholds
-    range over ``1 <= c <= k`` and ``c <= c' <= k + 1``.  Arithmetic is done
-    on integer grid units, so comparisons are exact.  Returns the first
+    range over ``1 <= c <= k`` and ``c <= c' <= k + 1``.  Returns the first
     witness (in lexicographic order over base, deltas, c, c') whose refined
     sensitivity is strictly below its base sensitivity, or ``None`` when the
     whole grid is clean.
 
     ``enforce_assumption`` keeps only scenarios passing the mass-control
     condition; ``allow_negative_deltas`` additionally admits negative
-    shavings (mass moved down-scale).  With validation on and the condition
-    enforced the search is expected to come up empty.
+    shavings (mass moved down-scale) whose total is not negative.
+
+    No grid point is visited.  For ``c <= c'`` the refinement definition
+    gives ``se(refined, c') - se(base, c) = sum(deltas[:c'-1]) -
+    sum(base[c-1:c'-1])``, the mass-control margin, so an enforced
+    condition leaves the grid clean.  Otherwise the lex-first base
+    ``(0, ..., 0, 1)`` drops at ``c = 1``: with its lex-first deltas, all
+    zero, first at ``c' = k + 1``; with negative deltas, whose lex-first
+    admissible vector is ``(-1, 0, ..., 0, 1)``, already at ``c' = 2``.
     """
     k = strict_int(k, "class count", InvalidClassCountError, minimum=2)
     grid_step = finite_float(grid_step, "grid step", EmptyGridError)
     if not 0.0 < grid_step <= 0.5:
         raise EmptyGridError(f"grid step must lie in (0, 0.5], got {grid_step!r}")
-    units = round(1.0 / grid_step)
+    ratio = 1.0 / grid_step
+    units = round(ratio) if math.isfinite(ratio) else 0
     if abs(units * grid_step - 1.0) > MASS_TOLERANCE:
         raise EmptyGridError(
             f"grid step {grid_step!r} does not evenly divide the unit interval"
         )
+    if enforce_assumption:
+        return None
 
-    for base_units in _compositions(units, k):
-        delta_ranges = [
-            range(b - units, b + 1) if allow_negative_deltas else range(0, b + 1)
-            for b in base_units
-        ]
-        for delta_units in itertools.product(*delta_ranges):
-            shaved = sum(delta_units)
-            if shaved < 0:
-                continue
-            refined_units = tuple(
-                b - d for b, d in zip(base_units, delta_units)
-            ) + (shaved,)
-            for c in range(1, k + 1):
-                base_tail = sum(base_units[c - 1 :])
-                for c_prime in range(c, k + 2):
-                    if enforce_assumption:
-                        between = sum(base_units[c - 1 : c_prime - 1])
-                        covered = sum(delta_units[: c_prime - 1])
-                        if between > covered:
-                            continue
-                    if sum(refined_units[c_prime - 1 :]) < base_tail:
-                        base_pmf = ConditionalPMF(
-                            probs=tuple(u * grid_step for u in base_units),
-                            conditioning_outcome=Outcome.DISEASED,
-                        )
-                        return RefinementWitness.build(
-                            base=base_pmf,
-                            deltas=tuple(u * grid_step for u in delta_units),
-                            c=c,
-                            c_prime=c_prime,
-                            validate_deltas=False,
-                        )
-    return None
+    one = units * grid_step
+    zeros = (0.0,) * (k - 1)
+    if allow_negative_deltas:
+        deltas, c_prime = (-one,) + zeros[1:] + (one,), 2
+    else:
+        deltas, c_prime = (0.0,) * k, k + 1
+    base = ConditionalPMF(probs=zeros + (one,), conditioning_outcome=Outcome.DISEASED)
+    return RefinementWitness.build(
+        base=base, deltas=deltas, c=1, c_prime=c_prime, validate_deltas=False
+    )

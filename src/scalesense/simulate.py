@@ -23,6 +23,7 @@ from .core import (
     strict_int,
 )
 from .errors import (
+    DegenerateCohortError,
     EmptyExperimentError,
     InvalidClassCountError,
     InvariantViolationError,
@@ -156,7 +157,8 @@ def run_partition_sweep(
     criterion-optimal sensitivity, specificity, and threshold.  Means and
     standard deviations (population form, so one replication gives sd 0)
     are aggregated per ``k``.  A draw that leaves one outcome group empty
-    fails downstream with a degenerate-cohort error.
+    fails with a degenerate-cohort error naming the replication and its
+    child seed.
     """
     reps = strict_int(reps, "replications", EmptyExperimentError, minimum=1)
     ks = tuple(
@@ -174,7 +176,12 @@ def run_partition_sweep(
         cohort = generate_cohort(child)
         for j, k in enumerate(ks):
             _, assignment = discretize(cohort, k)
-            pmf1, pmf0 = estimate_conditional_pmfs(assignment, cohort)
+            try:
+                pmf1, pmf0 = estimate_conditional_pmfs(assignment, cohort)
+            except DegenerateCohortError as exc:
+                raise DegenerateCohortError(
+                    f"replication {r} (child seed {child.seed}): {exc}"
+                ) from exc
             summary = select_threshold(pmf1, pmf0, criterion)
             se[r, j] = summary.se
             sp[r, j] = summary.sp

@@ -51,19 +51,33 @@ class TestValueTypes:
         "build",
         [
             lambda: Cohort(scores=["a"], outcomes=[0]),
+            lambda: Cohort(scores=[1.0, 2.0], outcomes=[0.5, 1]),
+            lambda: Cohort(scores=["1.5"], outcomes=[0]),
+            lambda: Cohort(scores=[True, False], outcomes=[0, 1]),
+            lambda: Cohort(scores=[1.0, 2.0], outcomes=[True, False]),
             lambda: PartitionSpec(k=2.7, boundaries=(1.0,)),
             lambda: PartitionSpec(k=2, boundaries=(True,)),
             lambda: ScaleAssignment(k=2.0, class_indices=[1, 2]),
             lambda: ConditionalPMF(probs=(1.0, False), conditioning_outcome=Outcome.HEALTHY),
+            lambda: ConditionalPMF(probs=(1.0,), conditioning_outcome="x"),
+            lambda: ConditionalPMF(probs=(1.0,), conditioning_outcome=1.0),
+            lambda: ConditionalPMF(probs=(1.0,), conditioning_outcome=True),
             lambda: DiagnosticSummary(c=1.0, se=0.5, sp=0.5, criterion_value=0.0),
             lambda: DiagnosticSummary(c=1, se="0.5", sp=0.5, criterion_value=0.0),
         ],
         ids=[
             "cohort-text-score",
+            "cohort-fractional-outcome",
+            "cohort-numeric-text-score",
+            "cohort-bool-score",
+            "cohort-bool-outcome",
             "partition-fractional-k",
             "partition-bool-boundary",
             "assignment-float-k",
             "pmf-bool-entry",
+            "pmf-text-outcome",
+            "pmf-float-outcome",
+            "pmf-bool-outcome",
             "summary-float-c",
             "summary-text-se",
         ],

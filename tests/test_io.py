@@ -109,6 +109,44 @@ class TestLoadCohort:
         with pytest.raises(FileIOError):
             load_cohort(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"score,outcome\n1.0,0\n\xff\xfe,1\n",
+            b"score,outcome\n" + b"1" * 131073 + b",0\n",
+        ],
+        ids=["not-utf8", "field-over-csv-limit"],
+    )
+    def test_unreadable_bytes_are_parse_errors(self, tmp_path, data):
+        path = tmp_path / "cohort.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as excinfo:
+            load_cohort(path)
+        assert excinfo.value.code == "parse-error"
+
+    @given(
+        st.one_of(
+            st.binary(max_size=200),
+            st.text(alphabet='score,utcme01.5-e"\n\r\x00 \tnaif\xe9', max_size=200)
+            .map(lambda text: text.encode("utf-8")),
+            st.lists(
+                st.tuples(st.text(max_size=8), st.text(max_size=4)), max_size=6
+            ).map(
+                lambda rows: "score,outcome\n".encode("utf-8")
+                + "".join(f"{a},{b}\n" for a, b in rows).encode("utf-8")
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_load_or_fail_cleanly(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "cohort.csv"
+        path.write_bytes(data)
+        try:
+            cohort = load_cohort(path)
+        except ScaleSenseError:
+            return
+        assert isinstance(cohort, Cohort)
+
     def test_pipeline_from_file_reproduces_known_pmf(self, tmp_path):
         path = write(
             tmp_path,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,59 @@ from scalesense import (
     verify_monotonicity,
 )
 from conftest import refinement_inputs
+
+
+def _compositions(total: int, parts: int):
+    """All tuples of ``parts`` non-negative ints summing to ``total``, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def brute_force_counterexample(
+    k, grid_step, allow_negative_deltas=False, enforce_assumption=True
+):
+    """Reference search: enumerate every grid point in lexicographic order
+    over base, deltas, c, c' on integer grid units and return the first
+    witness whose refined sensitivity drops, or ``None``."""
+    units = round(1.0 / grid_step)
+    for base_units in _compositions(units, k):
+        delta_ranges = [
+            range(b - units, b + 1) if allow_negative_deltas else range(0, b + 1)
+            for b in base_units
+        ]
+        for delta_units in itertools.product(*delta_ranges):
+            shaved = sum(delta_units)
+            if shaved < 0:
+                continue
+            refined_units = tuple(
+                b - d for b, d in zip(base_units, delta_units)
+            ) + (shaved,)
+            for c in range(1, k + 1):
+                base_tail = sum(base_units[c - 1 :])
+                for c_prime in range(c, k + 2):
+                    if enforce_assumption:
+                        between = sum(base_units[c - 1 : c_prime - 1])
+                        covered = sum(delta_units[: c_prime - 1])
+                        if between > covered:
+                            continue
+                    if sum(refined_units[c_prime - 1 :]) < base_tail:
+                        base_pmf = ConditionalPMF(
+                            probs=tuple(u * grid_step for u in base_units),
+                            conditioning_outcome=Outcome.DISEASED,
+                        )
+                        return RefinementWitness.build(
+                            base=base_pmf,
+                            deltas=tuple(u * grid_step for u in delta_units),
+                            c=c,
+                            c_prime=c_prime,
+                            validate_deltas=False,
+                        )
+    return None
 
 
 def witness(base_probs, deltas, c, c_prime, validate=True):
@@ -266,3 +320,41 @@ class TestSearchCounterexample:
             search_counterexample(2, 0.6)
         with pytest.raises(EmptyGridError):
             search_counterexample(2, 0.0)
+        with pytest.raises(EmptyGridError) as excinfo:
+            search_counterexample(2, 5e-324)
+        assert excinfo.value.code == "empty-grid"
+
+    @pytest.mark.parametrize(
+        "k, grid_step",
+        [(k, step) for k in (2, 3) for step in (0.5, 0.25, 0.1)]
+        + [(4, 0.5), (4, 0.25)],
+    )
+    @pytest.mark.parametrize("allow_negative_deltas", [False, True])
+    @pytest.mark.parametrize("enforce_assumption", [True, False])
+    def test_matches_the_brute_force_search(
+        self, k, grid_step, allow_negative_deltas, enforce_assumption
+    ):
+        flags = dict(
+            allow_negative_deltas=allow_negative_deltas,
+            enforce_assumption=enforce_assumption,
+        )
+        expected = brute_force_counterexample(k, grid_step, **flags)
+        found = search_counterexample(k, grid_step, **flags)
+        if expected is None:
+            assert found is None
+            return
+        assert found is not None
+        assert found.base == expected.base
+        assert found.deltas == expected.deltas
+        assert found.refined == expected.refined
+        assert (found.c, found.c_prime) == (expected.c, expected.c_prime)
+
+    def test_many_classes_return_the_first_witness(self):
+        found = search_counterexample(2000, 0.5, enforce_assumption=False)
+        assert found is not None
+        assert found.base.probs == (0.0,) * 1999 + (1.0,)
+        assert found.deltas == (0.0,) * 2000
+        assert (found.c, found.c_prime) == (1, 2001)
+        verdict = verify_monotonicity(found)
+        assert verdict.se_base == 1.0
+        assert verdict.se_refined == 0.0

@@ -3,6 +3,7 @@ import pytest
 
 from scalesense import (
     CohortSpec,
+    DegenerateCohortError,
     EmptyExperimentError,
     InvalidClassCountError,
     ScaleSenseError,
@@ -157,6 +158,23 @@ class TestPartitionSweep:
     def test_rejects_empty_k_list(self):
         with pytest.raises(EmptyExperimentError):
             run_partition_sweep(spec(), k_values=(), reps=1)
+
+    def test_degenerate_draw_names_its_replication_and_seed(self):
+        from dataclasses import replace
+
+        tiny = spec(n=2, prevalence=0.5, seed=1)
+        first = next(
+            r
+            for r in range(50)
+            if generate_cohort(replace(tiny, seed=replication_seed(1, r))).n_diseased
+            in (0, 2)
+        )
+        with pytest.raises(DegenerateCohortError) as excinfo:
+            run_partition_sweep(tiny, k_values=(2,), reps=50)
+        message = str(excinfo.value)
+        assert f"replication {first} " in message
+        assert f"child seed {replication_seed(1, first)}" in message
+        assert excinfo.value.code == "degenerate-cohort"
 
     def test_aggregates_match_a_manual_replay(self):
         from scalesense import discretize, estimate_conditional_pmfs, select_threshold
