@@ -132,7 +132,7 @@ class TestLoadCohort:
             st.lists(
                 st.tuples(st.text(max_size=8), st.text(max_size=4)), max_size=6
             ).map(
-                lambda rows: "score,outcome\n".encode("utf-8")
+                lambda rows: b"score,outcome\n"
                 + "".join(f"{a},{b}\n" for a, b in rows).encode("utf-8")
             ),
         )
