@@ -115,7 +115,9 @@ class Cohort:
         Finite float64 risk scores, one per subject, in row order.
     outcomes:
         int64 array of 0/1 labels aligned with ``scores``.  Integer labels
-        only: bools, strings and fractions are rejected, not coerced.
+        only: bools, strings and fractions are rejected, not coerced.  So
+        are bools mixed into a list of numbers, found by one element scan
+        that ndarray inputs skip.
     """
 
     scores: np.ndarray
@@ -140,6 +142,9 @@ class Cohort:
                 f"cohort needs real scores and integer outcomes, got {scores.dtype}"
                 f" and {outcomes.dtype}"
             )
+        for raw in (self.scores, self.outcomes):
+            if not isinstance(raw, np.ndarray) and {bool, np.bool_} & set(map(type, raw)):
+                raise InvariantViolationError("cohort scores and outcomes must not be bools")
         scores = scores.astype(np.float64, copy=False)
         outcomes = outcomes.astype(np.int64, copy=False)
         if not np.all(np.isfinite(scores)):
@@ -324,6 +329,66 @@ def _head_sums(probs: Sequence[float]) -> np.ndarray:
     return out
 
 
+def _class_count(cohort: Cohort, k) -> int:
+    """Validate ``k`` as a class count for ``cohort`` and return it."""
+    k = strict_int(k, "class count", InvalidClassCountError, minimum=1)
+    if len(cohort) == 0:
+        raise EmptyInputError("cannot discretize an empty cohort")
+    if k > len(cohort):
+        raise InsufficientSamplesError(f"k={k} exceeds cohort size n={len(cohort)}")
+    return k
+
+
+def _quantile_cuts(ordered: np.ndarray, k: int) -> np.ndarray:
+    """Sorted scores of 1-based rank ``ceil(j * n / k)``, ``j = 1 .. k``: the
+    ``k - 1`` class boundaries, then the maximum."""
+    return ordered[(np.arange(1, k + 1) * ordered.size + k - 1) // k - 1]
+
+
+def _require_both_groups(n1: int, n0: int) -> None:
+    if n1 == 0 or n0 == 0:
+        raise DegenerateCohortError(
+            f"both outcome groups must be non-empty (n1={n1}, n0={n0})"
+        )
+
+
+def _sort_by_score(cohort: Cohort) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Ascending scores, ``cum1[i]`` = diseased among the first ``i`` of them,
+    and the two group sizes, both non-zero.  The argsort need not be stable:
+    tied scores share a class, so their order changes no count."""
+    order = np.argsort(cohort.scores)
+    cum1 = np.zeros(order.size + 1, dtype=np.int64)
+    np.cumsum(cohort.outcomes[order], out=cum1[1:])
+    n1 = int(cum1[-1])
+    _require_both_groups(n1, order.size - n1)
+    return cohort.scores[order], cum1, n1, order.size - n1
+
+
+def _class_counts(ordered: np.ndarray, cum1: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Boundaries, and diseased and healthy counts per class, at ``k`` classes.
+
+    The counting kernel of :func:`analyze_cohort` and the sweep: class ``j``
+    holds the scores in ``(boundary_{j-1}, boundary_j]``, as in
+    :func:`discretize`, so its counts are differences of ``cum1`` at the
+    class edges in sorted order.  O(k) work; the counts are checked exactly.
+    """
+    cuts = _quantile_cuts(ordered, k)
+    edges = np.searchsorted(ordered, cuts, side="right")
+    counts1 = np.diff(cum1[edges], prepend=0)
+    counts0 = np.diff(edges, prepend=0) - counts1
+    sums = (counts1.sum(), counts0.sum())
+    if sums != (cum1[-1], ordered.size - cum1[-1]) or min(counts1.min(), counts0.min()) < 0:
+        raise InvariantViolationError(f"class counts at k={k} do not add up")
+    return cuts[:-1], counts1, counts0
+
+
+def _pmf_pair(counts1, n1: int, counts0, n0: int) -> tuple[ConditionalPMF, ConditionalPMF]:
+    return (
+        ConditionalPMF(probs=(counts1 / n1).tolist(), conditioning_outcome=Outcome.DISEASED),
+        ConditionalPMF(probs=(counts0 / n0).tolist(), conditioning_outcome=Outcome.HEALTHY),
+    )
+
+
 def discretize(cohort: Cohort, k: int) -> tuple[PartitionSpec, ScaleAssignment]:
     """Bin cohort scores into ``k`` classes at pooled sample quantiles.
 
@@ -332,15 +397,8 @@ def discretize(cohort: Cohort, k: int) -> tuple[PartitionSpec, ScaleAssignment]:
     ``score <= boundary_j``, else class ``k``.  Tied scores always share a
     class, so heavy ties can leave interior classes empty.
     """
-    k = strict_int(k, "class count", InvalidClassCountError, minimum=1)
-    n = len(cohort)
-    if n == 0:
-        raise EmptyInputError("cannot discretize an empty cohort")
-    if k > n:
-        raise InsufficientSamplesError(f"k={k} exceeds cohort size n={n}")
-    ordered = np.sort(cohort.scores)
-    ranks = (np.arange(1, k) * n + k - 1) // k
-    boundaries = ordered[ranks - 1]
+    k = _class_count(cohort, k)
+    boundaries = _quantile_cuts(np.sort(cohort.scores), k)[:-1]
     indices = 1 + np.searchsorted(boundaries, cohort.scores, side="left")
     spec = PartitionSpec(k=k, boundaries=boundaries.tolist())
     assignment = ScaleAssignment(k=k, class_indices=indices.astype(np.int64))
@@ -360,21 +418,12 @@ def estimate_conditional_pmfs(
         )
     n1 = cohort.n_diseased
     n0 = cohort.n_healthy
-    if n1 == 0 or n0 == 0:
-        raise DegenerateCohortError(
-            f"both outcome groups must be non-empty (n1={n1}, n0={n0})"
-        )
+    _require_both_groups(n1, n0)
     k = assignment.k
     idx = assignment.class_indices
     counts1 = np.bincount(idx[cohort.outcomes == 1], minlength=k + 1)[1:]
     counts0 = np.bincount(idx[cohort.outcomes == 0], minlength=k + 1)[1:]
-    pmf1 = ConditionalPMF(
-        probs=(counts1 / n1).tolist(), conditioning_outcome=Outcome.DISEASED
-    )
-    pmf0 = ConditionalPMF(
-        probs=(counts0 / n0).tolist(), conditioning_outcome=Outcome.HEALTHY
-    )
-    return pmf1, pmf0
+    return _pmf_pair(counts1, n1, counts0, n0)
 
 
 def sensitivity(pmf: ConditionalPMF, c: int) -> float:
@@ -409,6 +458,18 @@ def _criterion_values(
     raise InvariantViolationError(f"unknown criterion {criterion!r}")
 
 
+def _best_threshold(probs1, probs0, criterion: ThresholdCriterion) -> tuple:
+    """``(c, se, sp, criterion value)`` at the optimal ``c``, ties to the
+    smallest, from class probabilities given each outcome."""
+    k = len(probs1)
+    se = _tail_sums(probs1)[:k]
+    sp = _head_sums(probs0)[:k]
+    values = _criterion_values(criterion, se, sp)
+    objective = -values if criterion is ThresholdCriterion.CLOSEST_TO_TOP_LEFT else values
+    best = int(np.argmax(objective))
+    return best + 1, se[best], sp[best], values[best]
+
+
 def select_threshold(
     pmf_diseased: ConditionalPMF,
     pmf_healthy: ConditionalPMF,
@@ -424,18 +485,8 @@ def select_threshold(
         raise DimensionMismatchError(
             f"pmf class counts differ: {pmf_diseased.k} vs {pmf_healthy.k}"
         )
-    k = pmf_diseased.k
-    se = _tail_sums(pmf_diseased.probs)[:k]
-    sp = _head_sums(pmf_healthy.probs)[:k]
-    values = _criterion_values(criterion, se, sp)
-    objective = -values if criterion is ThresholdCriterion.CLOSEST_TO_TOP_LEFT else values
-    best = int(np.argmax(objective))
-    return DiagnosticSummary(
-        c=best + 1,
-        se=float(se[best]),
-        sp=float(sp[best]),
-        criterion_value=float(values[best]),
-    )
+    c, se, sp, value = _best_threshold(pmf_diseased.probs, pmf_healthy.probs, criterion)
+    return DiagnosticSummary(c=c, se=float(se), sp=float(sp), criterion_value=float(value))
 
 
 def roc_points(
@@ -462,15 +513,20 @@ def analyze_cohort(
     k: int,
     criterion: ThresholdCriterion = ThresholdCriterion.YOUDEN_J,
 ) -> ScaleAnalysis:
-    """Run the full pipeline: discretize, estimate, select, trace the ROC."""
-    partition, assignment = discretize(cohort, k)
-    pmf1, pmf0 = estimate_conditional_pmfs(assignment, cohort)
-    summary = select_threshold(pmf1, pmf0, criterion)
+    """Run the full pipeline: partition, estimate, select, trace the ROC.
+
+    Partition, pmfs and errors are those of :func:`discretize` and
+    :func:`estimate_conditional_pmfs`, counted by :func:`_class_counts`.
+    """
+    k = _class_count(cohort, k)
+    ordered, cum1, n1, n0 = _sort_by_score(cohort)
+    boundaries, counts1, counts0 = _class_counts(ordered, cum1, k)
+    pmf1, pmf0 = _pmf_pair(counts1, n1, counts0, n0)
     return ScaleAnalysis(
-        partition=partition,
+        partition=PartitionSpec(k=k, boundaries=boundaries.tolist()),
         pmf_diseased=pmf1,
         pmf_healthy=pmf0,
         roc=tuple(roc_points(pmf1, pmf0)),
-        summary=summary,
+        summary=select_threshold(pmf1, pmf0, criterion),
         criterion=criterion,
     )

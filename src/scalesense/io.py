@@ -17,6 +17,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 from .core import (
     ConditionalPMF,
     Cohort,
@@ -150,7 +152,8 @@ def load_cohort(
             )
         scores.append(score)
         outcomes.append(int(raw_outcome))
-    return Cohort(scores=scores, outcomes=outcomes)
+    del text, rows, data  # freed before the arrays, which skip Cohort's list scan
+    return Cohort(np.array(scores, dtype=np.float64), np.array(outcomes, dtype=np.int64))
 
 
 def write_cohort(

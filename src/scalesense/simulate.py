@@ -16,6 +16,10 @@ import numpy as np
 from .core import (
     ThresholdCriterion,
     Cohort,
+    _best_threshold,
+    _class_counts,
+    _sort_by_score,
+    # Unused here, but bench/tracing.py wraps these three by name in this module.
     discretize,
     estimate_conditional_pmfs,
     finite_float,
@@ -153,7 +157,9 @@ def run_partition_sweep(
     """Monte Carlo sweep over class counts.
 
     Each replication draws a fresh cohort from a child seed of
-    ``spec.seed`` and analyzes it once per ``k``, recording the
+    ``spec.seed``, sorts it once and reads the class counts of every ``k``
+    off one cumulative count (the kernel of
+    :func:`~scalesense.core.analyze_cohort`), recording the
     criterion-optimal sensitivity, specificity, and threshold.  Means and
     standard deviations (population form, so one replication gives sd 0)
     are aggregated per ``k``.  A draw that leaves one outcome group empty
@@ -173,19 +179,17 @@ def run_partition_sweep(
     cc = np.empty((reps, len(ks)), dtype=np.float64)
     for r in range(reps):
         child = replace(spec, seed=replication_seed(spec.seed, r))
-        cohort = generate_cohort(child)
+        try:
+            ordered, cum1, n1, n0 = _sort_by_score(generate_cohort(child))
+        except DegenerateCohortError as exc:
+            raise DegenerateCohortError(
+                f"replication {r} (child seed {child.seed}): {exc}"
+            ) from exc
         for j, k in enumerate(ks):
-            _, assignment = discretize(cohort, k)
-            try:
-                pmf1, pmf0 = estimate_conditional_pmfs(assignment, cohort)
-            except DegenerateCohortError as exc:
-                raise DegenerateCohortError(
-                    f"replication {r} (child seed {child.seed}): {exc}"
-                ) from exc
-            summary = select_threshold(pmf1, pmf0, criterion)
-            se[r, j] = summary.se
-            sp[r, j] = summary.sp
-            cc[r, j] = summary.c
+            _, counts1, counts0 = _class_counts(ordered, cum1, k)
+            cc[r, j], se[r, j], sp[r, j], _ = _best_threshold(
+                counts1 / n1, counts0 / n0, criterion
+            )
 
     records = tuple(
         SweepRecord(

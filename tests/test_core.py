@@ -29,7 +29,52 @@ from scalesense import (
     sensitivity,
     specificity,
 )
+from scalesense.core import (
+    _best_threshold,
+    _class_counts,
+    _criterion_values,
+    _head_sums,
+    _sort_by_score,
+    _tail_sums,
+)
 from conftest import integer_score_cohorts, pmf_pairs, pmfs
+
+
+def reference_counts(cohort, k):
+    """The per-``k`` path the counting kernel replaced: sort, cut at the
+    quantile ranks, assign every subject a class, count per outcome."""
+    n = len(cohort)
+    ordered = np.sort(cohort.scores)
+    ranks = (np.arange(1, k) * n + k - 1) // k
+    boundaries = ordered[ranks - 1]
+    indices = 1 + np.searchsorted(boundaries, cohort.scores, side="left")
+    counts1 = np.bincount(indices[cohort.outcomes == 1], minlength=k + 1)[1:]
+    counts0 = np.bincount(indices[cohort.outcomes == 0], minlength=k + 1)[1:]
+    return boundaries, counts1, counts0
+
+
+def reference_summary(probs1, probs0, criterion):
+    """Threshold selection as it was before the shared helper."""
+    k = len(probs1)
+    se = _tail_sums(probs1)[:k]
+    sp = _head_sums(probs0)[:k]
+    values = _criterion_values(criterion, se, sp)
+    objective = -values if criterion is ThresholdCriterion.CLOSEST_TO_TOP_LEFT else values
+    best = int(np.argmax(objective))
+    return DiagnosticSummary(
+        c=best + 1, se=float(se[best]), sp=float(sp[best]),
+        criterion_value=float(values[best]),
+    )
+
+
+@st.composite
+def tie_heavy_cohorts(draw, max_n=80):
+    """Cohorts whose integer scores take at most a handful of values."""
+    n = draw(st.integers(1, max_n))
+    top = draw(st.integers(0, 6))
+    scores = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
+    outcomes = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return Cohort(scores=np.array(scores, dtype=np.float64), outcomes=np.array(outcomes))
 
 
 class TestValueTypes:
@@ -55,6 +100,9 @@ class TestValueTypes:
             lambda: Cohort(scores=["1.5"], outcomes=[0]),
             lambda: Cohort(scores=[True, False], outcomes=[0, 1]),
             lambda: Cohort(scores=[1.0, 2.0], outcomes=[True, False]),
+            lambda: Cohort(scores=[True, 2.0], outcomes=[True, 0]),
+            lambda: Cohort(scores=[True, 2.0], outcomes=[1, 0]),
+            lambda: Cohort(scores=(1.0, 2.0), outcomes=(np.True_, 0)),
             lambda: PartitionSpec(k=2.7, boundaries=(1.0,)),
             lambda: PartitionSpec(k=2, boundaries=(True,)),
             lambda: ScaleAssignment(k=2.0, class_indices=[1, 2]),
@@ -71,6 +119,9 @@ class TestValueTypes:
             "cohort-numeric-text-score",
             "cohort-bool-score",
             "cohort-bool-outcome",
+            "cohort-bool-mixed-into-both",
+            "cohort-bool-mixed-into-scores",
+            "cohort-numpy-bool-mixed-into-outcomes",
             "partition-fractional-k",
             "partition-bool-boundary",
             "assignment-float-k",
@@ -86,6 +137,12 @@ class TestValueTypes:
         with pytest.raises(InvariantViolationError) as excinfo:
             build()
         assert excinfo.value.code == "invariant-violation"
+
+    def test_cohort_copies_typed_arrays_without_a_scan(self):
+        scores = np.array([2.0, 1.0])
+        cohort = Cohort(scores=scores, outcomes=np.array([1, 0]))
+        scores[0] = 9.0
+        assert cohort.scores.tolist() == [2.0, 1.0]
 
     def test_cohort_arrays_are_frozen(self):
         cohort = Cohort(scores=[1.0], outcomes=[0])
@@ -340,7 +397,9 @@ class TestSelectThreshold:
                 value = se + sp - 1.0
                 better = best_value is None or value > best_value
             elif criterion is ThresholdCriterion.CLOSEST_TO_TOP_LEFT:
-                value = (1.0 - se) ** 2 + (1.0 - sp) ** 2
+                # Products, not ``** 2``: numpy squares exactly, while a float
+                # ``**`` goes through libm pow, which can be 1 ulp off.
+                value = (1.0 - se) * (1.0 - se) + (1.0 - sp) * (1.0 - sp)
                 better = best_value is None or value < best_value
             else:
                 value = se * sp
@@ -396,6 +455,60 @@ class TestRocPoints:
                 values = [tpr * (1 - fpr) for fpr, tpr in points]
                 best = max(range(k), key=lambda i: (values[i], -i))
             assert summary.c == best + 1
+
+
+class TestCountingKernel:
+    @given(tie_heavy_cohorts(), st.data(), st.sampled_from(list(ThresholdCriterion)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_k_reference(self, cohort, data, criterion):
+        n = len(cohort)
+        k = data.draw(st.integers(1, n), label="k")
+        boundaries, counts1, counts0 = reference_counts(cohort, k)
+        n1, n0 = cohort.n_diseased, cohort.n_healthy
+        if n1 == 0 or n0 == 0:
+            for run in (lambda: _sort_by_score(cohort), lambda: analyze_cohort(cohort, k)):
+                with pytest.raises(DegenerateCohortError):
+                    run()
+            return
+        ordered, cum1, *sizes = _sort_by_score(cohort)
+        assert sizes == [n1, n0]
+        kernel = _class_counts(ordered, cum1, k)
+        assert np.array_equal(kernel[0], boundaries)
+        assert kernel[1].tolist() == counts1.tolist()
+        assert kernel[2].tolist() == counts0.tolist()
+        expected = reference_summary(counts1 / n1, counts0 / n0, criterion)
+        c, se, sp, value = _best_threshold(kernel[1] / n1, kernel[2] / n0, criterion)
+        assert DiagnosticSummary(c=c, se=se, sp=sp, criterion_value=value) == expected
+        analysis = analyze_cohort(cohort, k, criterion)
+        assert analysis.summary == expected
+        assert analysis.partition.boundaries == tuple(boundaries.tolist())
+        assert analysis.pmf_diseased.probs == tuple((counts1 / n1).tolist())
+        assert analysis.pmf_healthy.probs == tuple((counts0 / n0).tolist())
+
+    def test_analysis_matches_the_public_per_k_pipeline(self):
+        cohort = Cohort(
+            scores=[3.0, 1.0, 1.0, 2.0, 1.0, 5.0, 5.0, 0.0], outcomes=[1, 0, 1, 0, 0, 1, 1, 0]
+        )
+        for k in range(1, len(cohort) + 1):
+            partition, assignment = discretize(cohort, k)
+            pmf1, pmf0 = estimate_conditional_pmfs(assignment, cohort)
+            analysis = analyze_cohort(cohort, k)
+            assert analysis.partition == partition
+            assert (analysis.pmf_diseased, analysis.pmf_healthy) == (pmf1, pmf0)
+            assert analysis.summary == select_threshold(pmf1, pmf0)
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: Cohort(scores=[1.0, 2.0], outcomes=[0, 1]), InsufficientSamplesError),
+            (lambda: Cohort(scores=[], outcomes=[]), EmptyInputError),
+            (lambda: Cohort(scores=[1.0, 2.0, 3.0], outcomes=[1, 1, 1]), DegenerateCohortError),
+        ],
+        ids=["k-above-n", "empty", "one-group"],
+    )
+    def test_analysis_raises_what_the_per_k_pipeline_raises(self, build, error):
+        with pytest.raises(error):
+            analyze_cohort(build(), 3)
 
 
 class TestAnalyzeCohort:

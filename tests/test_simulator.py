@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,33 @@ from scalesense import (
     ScaleSenseError,
     SpecValidationError,
     ThresholdCriterion,
+    discretize,
+    estimate_conditional_pmfs,
     generate_cohort,
     replication_seed,
     run_partition_sweep,
+    select_threshold,
 )
+
+
+def reference_sweep(spec, k_values, reps, criterion):
+    """The sweep as it ran before the counting kernel: one
+    discretize -> estimate_conditional_pmfs -> select_threshold pass per
+    replication and ``k``, aggregated per column."""
+    se = np.empty((reps, len(k_values)))
+    sp = np.empty((reps, len(k_values)))
+    cc = np.empty((reps, len(k_values)))
+    for r in range(reps):
+        cohort = generate_cohort(replace(spec, seed=replication_seed(spec.seed, r)))
+        for j, k in enumerate(k_values):
+            _, assignment = discretize(cohort, k)
+            summary = select_threshold(*estimate_conditional_pmfs(assignment, cohort), criterion)
+            se[r, j], sp[r, j], cc[r, j] = summary.se, summary.sp, summary.c
+    return [
+        (k, np.mean(se[:, j]), np.std(se[:, j]), np.mean(sp[:, j]), np.std(sp[:, j]),
+         np.mean(cc[:, j]))
+        for j, k in enumerate(k_values)
+    ]
 
 
 def spec(**overrides):
@@ -160,8 +185,6 @@ class TestPartitionSweep:
             run_partition_sweep(spec(), k_values=(), reps=1)
 
     def test_degenerate_draw_names_its_replication_and_seed(self):
-        from dataclasses import replace
-
         tiny = spec(n=2, prevalence=0.5, seed=1)
         first = next(
             r
@@ -176,10 +199,18 @@ class TestPartitionSweep:
         assert f"child seed {replication_seed(1, first)}" in message
         assert excinfo.value.code == "degenerate-cohort"
 
-    def test_aggregates_match_a_manual_replay(self):
-        from scalesense import discretize, estimate_conditional_pmfs, select_threshold
-        from dataclasses import replace
+    @pytest.mark.parametrize("criterion", list(ThresholdCriterion), ids=lambda c: c.value)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_the_per_k_reference(self, criterion, seed):
+        base = spec(n=60, seed=seed)
+        ks = (2, 3, 7, 13, 30, 59, 60)
+        report = run_partition_sweep(base, k_values=ks, reps=12, criterion=criterion)
+        got = [
+            (r.k, r.mean_se, r.sd_se, r.mean_sp, r.sd_sp, r.mean_c) for r in report.records
+        ]
+        assert got == reference_sweep(base, ks, 12, criterion)
 
+    def test_aggregates_match_a_manual_replay(self):
         base = spec(n=150, seed=9)
         report = run_partition_sweep(base, k_values=(3,), reps=5)
         ses = []
