@@ -53,12 +53,15 @@ class CohortFileSchema:
     has_header: bool = True
 
     def __post_init__(self) -> None:
-        if not self.score_column or not self.outcome_column:
-            raise InvariantViolationError("column names must be non-empty")
+        for column in (self.score_column, self.outcome_column):
+            if not column or column != column.strip():  # load_cohort strips names
+                raise InvariantViolationError(
+                    f"column name {column!r} must be non-empty and unpadded"
+                )
         if self.score_column == self.outcome_column:
             raise InvariantViolationError("column names must be distinct")
-        if len(self.delimiter) != 1:
-            raise InvariantViolationError("delimiter must be a single character")
+        if len(self.delimiter) != 1 or self.delimiter in "\r\n":
+            raise InvariantViolationError("delimiter must be one non-newline character")
 
 
 @dataclass(frozen=True)
@@ -97,62 +100,57 @@ def load_cohort(
     0/1, fail with a parse error naming the 1-based data row, as do bytes
     that are not UTF-8 and CSV the reader rejects (such as a field over the
     ``csv`` module's size limit).  A missing column fails with a schema
-    error; a file with no data rows fails with empty-input.
+    error; a file with no data rows fails with empty-input.  The file is
+    read in one pass, so of several faults the first in reading order wins:
+    a missing column beats a later over-long field or undecodable byte.
     """
     schema = schema or CohortFileSchema()
     path = Path(path)
+    scores, outcomes = [], []
     try:
-        text = path.read_text(encoding="utf-8")
+        with path.open(encoding="utf-8") as handle:
+            reader = csv.reader(handle, delimiter=schema.delimiter)
+            rows = (row for row in reader if any(field.strip() for field in row))
+            score_idx, outcome_idx = 0, 1
+            if schema.has_header:
+                header = [h.strip() for h in next(rows, ())]
+                if not header:
+                    raise EmptyInputError(f"{path} has no rows")
+                for column in (schema.score_column, schema.outcome_column):
+                    if column not in header:
+                        raise SchemaError(f"missing column '{column}' in {path}")
+                score_idx = header.index(schema.score_column)
+                outcome_idx = header.index(schema.outcome_column)
+            needed = max(score_idx, outcome_idx) + 1
+            for rownum, row in enumerate(rows, start=1):
+                if len(row) < needed:
+                    raise ParseError(
+                        f"row {rownum}: expected at least {needed} fields, got {len(row)}"
+                    )
+                raw_score = row[score_idx].strip()
+                try:
+                    score = float(raw_score)
+                except ValueError:
+                    raise ParseError(
+                        f"row {rownum}: score {raw_score!r} is not a number"
+                    ) from None
+                if not math.isfinite(score):
+                    raise ParseError(f"row {rownum}: score {raw_score!r} is not finite")
+                raw_outcome = row[outcome_idx].strip()
+                if raw_outcome not in ("0", "1"):
+                    raise ParseError(
+                        f"row {rownum}: outcome must be 0 or 1, got {raw_outcome!r}"
+                    )
+                scores.append(score)
+                outcomes.append(int(raw_outcome))
     except OSError as exc:
         raise FileIOError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    try:
-        rows = list(csv.reader(_stdio.StringIO(text), delimiter=schema.delimiter))
     except csv.Error as exc:
         raise ParseError(f"{path} is not a readable CSV: {exc}") from exc
-    rows = [row for row in rows if any(field.strip() for field in row)]
-    if schema.has_header:
-        if not rows:
-            raise EmptyInputError(f"{path} has no rows")
-        header = [h.strip() for h in rows[0]]
-        for column in (schema.score_column, schema.outcome_column):
-            if column not in header:
-                raise SchemaError(f"missing column '{column}' in {path}")
-        score_idx = header.index(schema.score_column)
-        outcome_idx = header.index(schema.outcome_column)
-        data = rows[1:]
-    else:
-        score_idx, outcome_idx = 0, 1
-        data = rows
-    if not data:
+    if not scores:
         raise EmptyInputError(f"{path} has no data rows")
-
-    scores = []
-    outcomes = []
-    needed = max(score_idx, outcome_idx) + 1
-    for rownum, row in enumerate(data, start=1):
-        if len(row) < needed:
-            raise ParseError(
-                f"row {rownum}: expected at least {needed} fields, got {len(row)}"
-            )
-        raw_score = row[score_idx].strip()
-        try:
-            score = float(raw_score)
-        except ValueError:
-            raise ParseError(
-                f"row {rownum}: score {raw_score!r} is not a number"
-            ) from None
-        if not math.isfinite(score):
-            raise ParseError(f"row {rownum}: score {raw_score!r} is not finite")
-        raw_outcome = row[outcome_idx].strip()
-        if raw_outcome not in ("0", "1"):
-            raise ParseError(
-                f"row {rownum}: outcome must be 0 or 1, got {raw_outcome!r}"
-            )
-        scores.append(score)
-        outcomes.append(int(raw_outcome))
-    del text, rows, data  # freed before the arrays, which skip Cohort's list scan
     return Cohort(np.array(scores, dtype=np.float64), np.array(outcomes, dtype=np.int64))
 
 
@@ -168,8 +166,7 @@ def write_cohort(
     writer = csv.writer(buffer, delimiter=schema.delimiter, lineterminator="\n")
     if schema.has_header:
         writer.writerow([schema.score_column, schema.outcome_column])
-    for score, outcome in zip(cohort.scores, cohort.outcomes):
-        writer.writerow([repr(float(score)), int(outcome)])
+    writer.writerows(zip(map(repr, cohort.scores.tolist()), cohort.outcomes.tolist()))
     _write_text(path, buffer.getvalue())
 
 
@@ -318,12 +315,10 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        body = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FileIOError(f"cannot read {path}: {exc}") from exc
-    try:
-        body = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return _build(
         ReportDocument,

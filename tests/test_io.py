@@ -1,4 +1,8 @@
+import csv
+import io as _stdio
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,119 @@ def write(tmp_path, text, name="cohort.csv"):
     return path
 
 
+def reference_load_cohort(path, schema=None):
+    """The whole-file loader that the streaming one replaced, kept verbatim
+    as the oracle for ``test_matches_the_reference_loader``."""
+    schema = schema or CohortFileSchema()
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FileIOError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    try:
+        rows = list(csv.reader(_stdio.StringIO(text), delimiter=schema.delimiter))
+    except csv.Error as exc:
+        raise ParseError(f"{path} is not a readable CSV: {exc}") from exc
+    rows = [row for row in rows if any(field.strip() for field in row)]
+    if schema.has_header:
+        if not rows:
+            raise EmptyInputError(f"{path} has no rows")
+        header = [h.strip() for h in rows[0]]
+        for column in (schema.score_column, schema.outcome_column):
+            if column not in header:
+                raise SchemaError(f"missing column '{column}' in {path}")
+        score_idx = header.index(schema.score_column)
+        outcome_idx = header.index(schema.outcome_column)
+        data = rows[1:]
+    else:
+        score_idx, outcome_idx = 0, 1
+        data = rows
+    if not data:
+        raise EmptyInputError(f"{path} has no data rows")
+
+    scores = []
+    outcomes = []
+    needed = max(score_idx, outcome_idx) + 1
+    for rownum, row in enumerate(data, start=1):
+        if len(row) < needed:
+            raise ParseError(
+                f"row {rownum}: expected at least {needed} fields, got {len(row)}"
+            )
+        raw_score = row[score_idx].strip()
+        try:
+            score = float(raw_score)
+        except ValueError:
+            raise ParseError(
+                f"row {rownum}: score {raw_score!r} is not a number"
+            ) from None
+        if not math.isfinite(score):
+            raise ParseError(f"row {rownum}: score {raw_score!r} is not finite")
+        raw_outcome = row[outcome_idx].strip()
+        if raw_outcome not in ("0", "1"):
+            raise ParseError(
+                f"row {rownum}: outcome must be 0 or 1, got {raw_outcome!r}"
+            )
+        scores.append(score)
+        outcomes.append(int(raw_outcome))
+    del text, rows, data  # freed before the arrays, which skip Cohort's list scan
+    return Cohort(np.array(scores, dtype=np.float64), np.array(outcomes, dtype=np.int64))
+
+
+def load_outcome(loader, path, schema=None):
+    """What ``loader`` makes of ``path``: a cohort or a domain error."""
+    try:
+        return loader(path, schema)
+    except ScaleSenseError as exc:
+        return exc
+
+
+# Messages that quote a decoder's or csv reader's position, which depends on
+# how much of the file was read at once.
+WHOLE_FILE_FAULTS = ("is not UTF-8 text", "is not a readable CSV")
+
+# Raw bytes, CSV-alphabet text, and ``score,outcome`` rows of arbitrary text.
+CSV_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.text(alphabet='score,utcme01.5-e"\n\r\x00 \tnaif\xe9', max_size=200)
+    .map(lambda text: text.encode("utf-8")),
+    st.lists(st.tuples(st.text(max_size=8), st.text(max_size=4)), max_size=6).map(
+        lambda rows: b"score,outcome\n"
+        + "".join(f"{a},{b}\n" for a, b in rows).encode("utf-8")
+    ),
+)
+
+
+@st.composite
+def mostly_valid_files(draw):
+    """Cohort files whose rows mostly parse, as bytes with their schema.
+
+    Half the files mix in odd tokens near the edge of what ``float`` and the
+    outcome check accept: ``1_0``, ``+2`` and a quoted ``"3"`` are scores,
+    ``nan`` is not; `` 1`` is an outcome once stripped, ``1.0`` and ``01``
+    are not.  Headers may pad their names or put the outcome column first.
+    """
+    score = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    outcome = st.sampled_from(["0", "1"])
+    if draw(st.booleans()):
+        score = score | st.sampled_from(["nan", "1_0", "+2", '"3"'])
+        outcome = st.sampled_from(["0", "1", " 1", "1.0", "01"])
+    delimiter = draw(st.sampled_from([",", ";"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    has_header = draw(st.booleans())
+    rows = draw(st.lists(st.tuples(score, outcome), max_size=8))
+    header = draw(
+        st.sampled_from([("score", "outcome"), (" score", "outcome "), ("outcome", "score")])
+    )
+    if has_header and header[0] == "outcome":
+        rows = [row[::-1] for row in rows]
+    lines = [header] * has_header + rows
+    text = "".join(delimiter.join(line) + newline for line in lines)
+    schema = CohortFileSchema(delimiter=delimiter, has_header=has_header)
+    return text.encode("utf-8"), schema
+
+
 class TestCohortFileSchema:
     def test_rejects_identical_columns(self):
         with pytest.raises(InvariantViolationError):
@@ -45,6 +162,20 @@ class TestCohortFileSchema:
     def test_rejects_multichar_delimiter(self):
         with pytest.raises(InvariantViolationError):
             CohortFileSchema(delimiter=";;")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"delimiter": "\n"},
+            {"delimiter": "\r"},
+            {"score_column": " s"},
+            {"outcome_column": "o "},
+        ],
+        ids=["newline-delimiter", "return-delimiter", "padded-score", "padded-outcome"],
+    )
+    def test_rejects_layouts_that_would_not_read_back(self, fields):
+        with pytest.raises(InvariantViolationError):
+            CohortFileSchema(**fields)
 
 
 class TestLoadCohort:
@@ -124,19 +255,7 @@ class TestLoadCohort:
             load_cohort(path)
         assert excinfo.value.code == "parse-error"
 
-    @given(
-        st.one_of(
-            st.binary(max_size=200),
-            st.text(alphabet='score,utcme01.5-e"\n\r\x00 \tnaif\xe9', max_size=200)
-            .map(lambda text: text.encode("utf-8")),
-            st.lists(
-                st.tuples(st.text(max_size=8), st.text(max_size=4)), max_size=6
-            ).map(
-                lambda rows: b"score,outcome\n"
-                + "".join(f"{a},{b}\n" for a, b in rows).encode("utf-8")
-            ),
-        )
-    )
+    @given(CSV_BYTES)
     @settings(max_examples=300, deadline=None)
     def test_arbitrary_bytes_load_or_fail_cleanly(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("fuzz") / "cohort.csv"
@@ -146,6 +265,46 @@ class TestLoadCohort:
         except ScaleSenseError:
             return
         assert isinstance(cohort, Cohort)
+
+    @given(st.one_of(CSV_BYTES.map(lambda data: (data, None)), mostly_valid_files()))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_the_reference_loader(self, tmp_path_factory, case):
+        data, schema = case
+        path = tmp_path_factory.mktemp("diff") / "cohort.csv"
+        path.write_bytes(data)
+        got = load_outcome(load_cohort, path, schema)
+        want = load_outcome(reference_load_cohort, path, schema)
+        if isinstance(want, Cohort):
+            assert isinstance(got, Cohort), got
+            assert got.scores.dtype == want.scores.dtype
+            assert got.scores.tobytes() == want.scores.tobytes()
+            assert got.outcomes.tobytes() == want.outcomes.tobytes()
+            return
+        assert isinstance(got, ScaleSenseError), got
+        if "is not UTF-8 text" in str(want) and got.code == "schema-error":
+            # Two faults: a bad header, read first now, and bytes further on
+            # that do not decode.  Without those bytes the old loader agrees.
+            path.write_bytes(data.decode("utf-8", "replace").encode("utf-8"))
+            assert load_outcome(reference_load_cohort, path, schema).code == got.code
+            return
+        assert got.code == want.code
+        if not any(fault in str(want) for fault in WHOLE_FILE_FAULTS):
+            assert str(got) == str(want)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"score,label\n" + b"1" * 131073 + b",0\n",
+            b"score,label\n" + b"1,0\n" * 3000 + b"\xff,0\n",
+            b"score,label\n1,0\n\xc3",
+        ],
+        ids=["field-over-csv-limit", "bad-byte-past-first-chunk", "truncated-at-end"],
+    )
+    def test_first_fault_in_reading_order_wins(self, tmp_path, data):
+        path = tmp_path / "cohort.csv"
+        path.write_bytes(data)
+        assert load_outcome(reference_load_cohort, path).code == "parse-error"
+        assert load_outcome(load_cohort, path).code == "schema-error"
 
     def test_pipeline_from_file_reproduces_known_pmf(self, tmp_path):
         path = write(
@@ -340,6 +499,15 @@ class TestReports:
     def test_malformed_json_is_a_parse_error(self, tmp_path):
         path = tmp_path / "r.json"
         path.write_text("{not json")
+        with pytest.raises(ParseError):
+            read_report(path)
+
+    @pytest.mark.parametrize(
+        "data", [b'{"schema_version": "\xff"}', b"[" * 100_000], ids=["not-utf8", "deep"]
+    )
+    def test_unreadable_json_is_a_parse_error(self, tmp_path, data):
+        path = tmp_path / "r.json"
+        path.write_bytes(data)
         with pytest.raises(ParseError):
             read_report(path)
 
