@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -149,7 +149,7 @@ class Cohort:
         outcomes = outcomes.astype(np.int64, copy=False)
         if not np.all(np.isfinite(scores)):
             raise InvariantViolationError("all scores must be finite")
-        if not np.isin(outcomes, (0, 1)).all():
+        if outcomes.size and (outcomes.min() < 0 or outcomes.max() > 1):
             raise InvariantViolationError("all outcomes must be 0 or 1")
         scores.setflags(write=False)
         outcomes.setflags(write=False)
@@ -302,30 +302,26 @@ class ScaleAnalysis:
         object.__setattr__(self, "roc", tuple(zip(flat[::2], flat[1::2])))
 
 
-def _tail_sums(probs: Sequence[float]) -> np.ndarray:
-    """Sensitivity at every threshold: ``out[c-1] = P(class >= c)``.
+def _tail_sums(probs) -> np.ndarray:
+    """Sensitivity at every threshold, per row: ``out[..., c-1] = P(class >= c)``.
 
     Built by sequential accumulation from the top class down, so the result
     is non-increasing entry by entry in float arithmetic, clipped into
     ``[0, 1]``, with the ``c = 1`` and ``c = k+1`` endpoints exactly 1 and 0.
     """
     p = np.asarray(probs, dtype=np.float64)
-    k = p.size
-    out = np.empty(k + 1, dtype=np.float64)
-    out[:k] = np.minimum(np.cumsum(p[::-1])[::-1], 1.0)
-    out[0] = 1.0
-    out[k] = 0.0
+    out = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
+    out[..., :-1] = np.minimum(np.cumsum(p[..., ::-1], axis=-1)[..., ::-1], 1.0)
+    out[..., 0] = 1.0
     return out
 
 
-def _head_sums(probs: Sequence[float]) -> np.ndarray:
-    """Specificity at every threshold: ``out[c-1] = P(class < c)``."""
+def _head_sums(probs) -> np.ndarray:
+    """Specificity at every threshold: ``out[..., c-1] = P(class < c)``."""
     p = np.asarray(probs, dtype=np.float64)
-    k = p.size
-    out = np.empty(k + 1, dtype=np.float64)
-    out[0] = 0.0
-    out[1:] = np.minimum(np.cumsum(p), 1.0)
-    out[k] = 1.0
+    out = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
+    out[..., 1:] = np.minimum(np.cumsum(p, axis=-1), 1.0)
+    out[..., -1] = 1.0
     return out
 
 
@@ -339,10 +335,10 @@ def _class_count(cohort: Cohort, k) -> int:
     return k
 
 
-def _quantile_cuts(ordered: np.ndarray, k: int) -> np.ndarray:
-    """Sorted scores of 1-based rank ``ceil(j * n / k)``, ``j = 1 .. k``: the
-    ``k - 1`` class boundaries, then the maximum."""
-    return ordered[(np.arange(1, k + 1) * ordered.size + k - 1) // k - 1]
+def _class_ranks(n: int, k: int) -> np.ndarray:
+    """1-based ranks ``ceil(j * n / k)``, ``j = 0 .. k``, among ``n`` sorted
+    scores: 0, the ranks of the ``k - 1`` class boundaries, then ``n``."""
+    return (np.arange(k + 1) * n + k - 1) // k
 
 
 def _require_both_groups(n1: int, n0: int) -> None:
@@ -364,22 +360,39 @@ def _sort_by_score(cohort: Cohort) -> tuple[np.ndarray, np.ndarray, int, int]:
     return cohort.scores[order], cum1, n1, order.size - n1
 
 
-def _class_counts(ordered: np.ndarray, cum1: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """Boundaries, and diseased and healthy counts per class, at ``k`` classes.
+def _sort_block(scores, outcomes, cum1, ends) -> None:
+    """Sort each row of ``scores`` in place; set ``cum1[:, i]`` to the diseased
+    among its ``i`` smallest scores and ``ends[:, j]`` to the count of its
+    scores up to the end of rank ``j``'s tie run (column 0 of both stays 0)."""
+    by_score = np.take_along_axis(outcomes, np.argsort(scores, axis=1), axis=1)
+    np.cumsum(by_score, axis=1, out=cum1[:, 1:])
+    scores.sort(axis=1)
+    ends[:, 1:] = scores.shape[1]
+    last_of_run = scores[:, :-1] != scores[:, 1:]
+    np.copyto(ends[:, 1:-1], np.arange(1, scores.shape[1]), where=last_of_run)
+    np.minimum.accumulate(ends[:, :0:-1], axis=1, out=ends[:, :0:-1])
 
-    The counting kernel of :func:`analyze_cohort` and the sweep: class ``j``
-    holds the scores in ``(boundary_{j-1}, boundary_j]``, as in
-    :func:`discretize`, so its counts are differences of ``cum1`` at the
-    class edges in sorted order.  O(k) work; the counts are checked exactly.
-    """
-    cuts = _quantile_cuts(ordered, k)
-    edges = np.searchsorted(ordered, cuts, side="right")
-    counts1 = np.diff(cum1[edges], prepend=0)
-    counts0 = np.diff(edges, prepend=0) - counts1
-    sums = (counts1.sum(), counts0.sum())
-    if sums != (cum1[-1], ordered.size - cum1[-1]) or min(counts1.min(), counts0.min()) < 0:
-        raise InvariantViolationError(f"class counts at k={k} do not add up")
-    return cuts[:-1], counts1, counts0
+
+def _class_counts(ordered: np.ndarray, cum1: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Boundaries and :func:`_edge_counts` of one cohort, edges by binary search."""
+    cuts = ordered[_class_ranks(ordered.size, k)[1:] - 1]
+    edges = np.append(0, np.searchsorted(ordered, cuts, side="right"))
+    counts1, counts0 = _edge_counts(cum1[None], edges[None])
+    return cuts[:-1], counts1[0], counts0[0]
+
+
+def _edge_counts(cum1: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diseased and healthy counts per class and cohort row, checked exactly:
+    the kernel of :func:`analyze_cohort` and the sweep.  ``edges[r, j]`` counts
+    row ``r``'s sorted scores up to ``boundary_j`` (classes ``1 .. j``)."""
+    at_edges = cum1[np.arange(len(cum1))[:, None], edges]
+    counts1 = at_edges[:, 1:] - at_edges[:, :-1]
+    counts0 = edges[:, 1:] - edges[:, :-1] - counts1
+    n1 = cum1[:, -1]
+    sums_ok = (counts1.sum(axis=1) == n1) & (counts0.sum(axis=1) == cum1.shape[1] - 1 - n1)
+    if not sums_ok.all() or min(counts1.min(), counts0.min()) < 0:
+        raise InvariantViolationError(f"class counts at k={counts1.shape[1]} do not add up")
+    return counts1, counts0
 
 
 def _pmf_pair(counts1, n1: int, counts0, n0: int) -> tuple[ConditionalPMF, ConditionalPMF]:
@@ -398,7 +411,7 @@ def discretize(cohort: Cohort, k: int) -> tuple[PartitionSpec, ScaleAssignment]:
     class, so heavy ties can leave interior classes empty.
     """
     k = _class_count(cohort, k)
-    boundaries = _quantile_cuts(np.sort(cohort.scores), k)[:-1]
+    boundaries = np.sort(cohort.scores)[_class_ranks(len(cohort), k)[1:-1] - 1]
     indices = 1 + np.searchsorted(boundaries, cohort.scores, side="left")
     spec = PartitionSpec(k=k, boundaries=boundaries.tolist())
     assignment = ScaleAssignment(k=k, class_indices=indices.astype(np.int64))
@@ -459,15 +472,18 @@ def _criterion_values(
 
 
 def _best_threshold(probs1, probs0, criterion: ThresholdCriterion) -> tuple:
-    """``(c, se, sp, criterion value)`` at the optimal ``c``, ties to the
-    smallest, from class probabilities given each outcome."""
-    k = len(probs1)
-    se = _tail_sums(probs1)[:k]
-    sp = _head_sums(probs0)[:k]
+    """``(c, se, sp, criterion value)`` at the optimal ``c`` of each row of
+    class probabilities given each outcome, ties to the smallest ``c``; a
+    1-D pair is one cohort, a batch of one row, and gives scalars."""
+    if np.ndim(probs1) == 1:
+        return tuple(x[0] for x in _best_threshold([probs1], [probs0], criterion))
+    se = _tail_sums(probs1)[:, :-1]
+    sp = _head_sums(probs0)[:, :-1]
     values = _criterion_values(criterion, se, sp)
-    objective = -values if criterion is ThresholdCriterion.CLOSEST_TO_TOP_LEFT else values
-    best = int(np.argmax(objective))
-    return best + 1, se[best], sp[best], values[best]
+    pick = np.argmin if criterion is ThresholdCriterion.CLOSEST_TO_TOP_LEFT else np.argmax
+    best = pick(values, axis=1)
+    rows = np.arange(best.size)
+    return best + 1, se[rows, best], sp[rows, best], values[rows, best]
 
 
 def select_threshold(

@@ -10,7 +10,6 @@ explicitly, keeping outputs reproducible by default.
 from __future__ import annotations
 
 import csv
-import io as _stdio
 import json
 import math
 from dataclasses import dataclass, fields
@@ -162,12 +161,14 @@ def write_cohort(
     Scores are written with shortest round-trip precision.
     """
     schema = schema or CohortFileSchema()
-    buffer = _stdio.StringIO()
-    writer = csv.writer(buffer, delimiter=schema.delimiter, lineterminator="\n")
-    if schema.has_header:
-        writer.writerow([schema.score_column, schema.outcome_column])
-    writer.writerows(zip(map(repr, cohort.scores.tolist()), cohort.outcomes.tolist()))
-    _write_text(path, buffer.getvalue())
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
+            if schema.has_header:
+                writer.writerow([schema.score_column, schema.outcome_column])
+            writer.writerows(zip(map(repr, cohort.scores.tolist()), cohort.outcomes.tolist()))
+    except OSError as exc:
+        raise FileIOError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_text(path: Union[str, Path], text: str) -> None:

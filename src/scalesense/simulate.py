@@ -17,8 +17,10 @@ from .core import (
     ThresholdCriterion,
     Cohort,
     _best_threshold,
-    _class_counts,
-    _sort_by_score,
+    _class_ranks,
+    _edge_counts,
+    _require_both_groups,
+    _sort_block,
     # Unused here, but bench/tracing.py wraps these three by name in this module.
     discretize,
     estimate_conditional_pmfs,
@@ -40,6 +42,8 @@ DEFAULT_CLASS_LADDER = (2, 3, 4, 5, 6, 8, 10, 15, 50, 100, 200, 500, 800)
 DEFAULT_REPS = 1000
 
 _SEED_BOUND = 2**64
+
+_BLOCK = 16  # replications per block of the sweep; each numpy call covers a block
 
 
 @dataclass(frozen=True)
@@ -157,14 +161,14 @@ def run_partition_sweep(
     """Monte Carlo sweep over class counts.
 
     Each replication draws a fresh cohort from a child seed of
-    ``spec.seed``, sorts it once and reads the class counts of every ``k``
-    off one cumulative count (the kernel of
-    :func:`~scalesense.core.analyze_cohort`), recording the
-    criterion-optimal sensitivity, specificity, and threshold.  Means and
-    standard deviations (population form, so one replication gives sd 0)
-    are aggregated per ``k``.  A draw that leaves one outcome group empty
-    fails with a degenerate-cohort error naming the replication and its
-    child seed.
+    ``spec.seed``.  Blocks of replications are sorted once, tie runs found
+    by a running minimum, and the class counts at every ``k`` read off a
+    cumulative count (the kernel of :func:`~scalesense.core.analyze_cohort`)
+    to record the criterion-optimal sensitivity, specificity, and threshold.
+    Means and standard deviations (population form, so one replication gives
+    sd 0) are aggregated per ``k``.  The first draw that leaves one outcome
+    group empty fails with a degenerate-cohort error naming the replication
+    and its child seed.
     """
     reps = strict_int(reps, "replications", EmptyExperimentError, minimum=1)
     ks = tuple(
@@ -174,21 +178,30 @@ def run_partition_sweep(
     if not ks:
         raise EmptyExperimentError("need at least one class count to sweep")
 
-    se = np.empty((reps, len(ks)), dtype=np.float64)
-    sp = np.empty((reps, len(ks)), dtype=np.float64)
-    cc = np.empty((reps, len(ks)), dtype=np.float64)
-    for r in range(reps):
-        child = replace(spec, seed=replication_seed(spec.seed, r))
-        try:
-            ordered, cum1, n1, n0 = _sort_by_score(generate_cohort(child))
-        except DegenerateCohortError as exc:
-            raise DegenerateCohortError(
-                f"replication {r} (child seed {child.seed}): {exc}"
-            ) from exc
+    n = spec.n
+    se, sp, cc = (np.empty((reps, len(ks))) for _ in range(3))
+    block = min(_BLOCK, reps)
+    scores, outcomes = np.empty((block, n)), np.empty((block, n), dtype=np.int8)
+    cum1, run_end = np.zeros((2, block, n + 1), dtype=np.int32)
+    for start in range(0, reps, block):
+        rows = slice(start, min(start + block, reps))
+        size = rows.stop - start
+        for i in range(size):
+            child = replace(spec, seed=replication_seed(spec.seed, start + i))
+            cohort = generate_cohort(child)
+            try:
+                _require_both_groups(cohort.n_diseased, cohort.n_healthy)
+            except DegenerateCohortError as exc:
+                raise DegenerateCohortError(
+                    f"replication {start + i} (child seed {child.seed}): {exc}"
+                ) from exc
+            scores[i], outcomes[i] = cohort.scores, cohort.outcomes
+        _sort_block(scores[:size], outcomes[:size], cum1[:size], run_end[:size])
+        n1 = cum1[:size, -1:]
         for j, k in enumerate(ks):
-            _, counts1, counts0 = _class_counts(ordered, cum1, k)
-            cc[r, j], se[r, j], sp[r, j], _ = _best_threshold(
-                counts1 / n1, counts0 / n0, criterion
+            counts1, counts0 = _edge_counts(cum1[:size], run_end[:size, _class_ranks(n, k)])
+            cc[rows, j], se[rows, j], sp[rows, j], _ = _best_threshold(
+                counts1 / n1, counts0 / (n - n1), criterion
             )
 
     records = tuple(

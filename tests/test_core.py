@@ -32,8 +32,11 @@ from scalesense import (
 from scalesense.core import (
     _best_threshold,
     _class_counts,
+    _class_ranks,
     _criterion_values,
+    _edge_counts,
     _head_sums,
+    _sort_block,
     _sort_by_score,
     _tail_sums,
 )
@@ -68,9 +71,11 @@ def reference_summary(probs1, probs0, criterion):
 
 
 @st.composite
-def tie_heavy_cohorts(draw, max_n=80):
-    """Cohorts whose integer scores take at most a handful of values."""
-    n = draw(st.integers(1, max_n))
+def tie_heavy_cohorts(draw, max_n=80, n=None):
+    """Cohorts whose integer scores take at most a handful of values; ``n``
+    subjects if given, else from 1 to ``max_n``."""
+    if n is None:
+        n = draw(st.integers(1, max_n))
     top = draw(st.integers(0, 6))
     scores = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
     outcomes = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -495,6 +500,49 @@ class TestCountingKernel:
     def test_analysis_raises_what_the_per_k_pipeline_raises(self, build, error):
         with pytest.raises(error):
             analyze_cohort(build(), 3)
+
+
+class TestBlockKernel:
+    """The sweep's block kernel on stacked tie-heavy rows: its running-minimum
+    edge finder against the binary search of :func:`_class_counts` and
+    against :func:`reference_counts`, row by row, at every ``k``."""
+
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.lists(tie_heavy_cohorts(n=n), min_size=1, max_size=6)
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tied_rows_match_the_per_row_kernel(self, cohorts):
+        n = len(cohorts[0])
+        scores = np.array([cohort.scores for cohort in cohorts])
+        outcomes = np.array([cohort.outcomes for cohort in cohorts], dtype=np.int8)
+        cum1, ends = np.zeros((2, len(cohorts), n + 1), dtype=np.int32)
+        _sort_block(scores, outcomes, cum1, ends)
+        for row, cohort in enumerate(cohorts):
+            assert scores[row].tolist() == sorted(cohort.scores.tolist())
+            assert cum1[row, -1] == cohort.n_diseased
+            assert ends[row, 0] == 0
+            assert np.array_equal(ends[row, 1:], np.searchsorted(scores[row], scores[row], "right"))
+        for k in range(1, n + 1):
+            ranks = _class_ranks(n, k)
+            counts1, counts0 = _edge_counts(cum1, ends[:, ranks])
+            for row, cohort in enumerate(cohorts):
+                boundaries, ref1, ref0 = reference_counts(cohort, k)
+                assert np.array_equal(scores[row, ranks[1:-1] - 1], boundaries)
+                assert counts1[row].tolist() == ref1.tolist()
+                assert counts0[row].tolist() == ref0.tolist()
+                searched = _class_counts(scores[row], cum1[row], k)
+                assert np.array_equal(searched[0], boundaries)
+                assert searched[1].tolist() == ref1.tolist()
+                assert searched[2].tolist() == ref0.tolist()
+
+    def test_miscounted_rows_fail_the_count_check(self):
+        cum1 = np.array([[0, 1, 1, 2], [0, 0, 1, 1]])
+        _edge_counts(cum1, np.array([[0, 2, 3], [0, 1, 3]]))
+        for edges in ([[0, 2, 3], [0, 1, 2]], [[0, 2, 3], [0, 2, 1]]):
+            with pytest.raises(InvariantViolationError, match="k=2 do not add up"):
+                _edge_counts(cum1, np.array(edges))
 
 
 class TestAnalyzeCohort:

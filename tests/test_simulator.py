@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import scalesense.simulate as simulate
 from scalesense import (
     CohortSpec,
     DegenerateCohortError,
@@ -209,6 +210,52 @@ class TestPartitionSweep:
             (r.k, r.mean_se, r.sd_se, r.mean_sp, r.sd_sp, r.mean_c) for r in report.records
         ]
         assert got == reference_sweep(base, ks, 12, criterion)
+
+    @pytest.mark.parametrize("criterion", list(ThresholdCriterion), ids=lambda c: c.value)
+    def test_matches_the_reference_at_block_boundaries(self, criterion):
+        block = simulate._BLOCK
+        base = spec(n=60, seed=5)
+        ks = (2, 3, 7, 13, 30, 59, 60)
+        for reps in (1, block - 1, block, block + 1, 2 * block + 3):
+            report = run_partition_sweep(base, k_values=ks, reps=reps, criterion=criterion)
+            got = [
+                (r.k, r.mean_se, r.sd_se, r.mean_sp, r.sd_sp, r.mean_c) for r in report.records
+            ]
+            assert got == reference_sweep(base, ks, reps, criterion), f"reps={reps}"
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_changes_no_bit(self, monkeypatch, block):
+        arguments = dict(k_values=(2, 5, 50, 400), reps=2 * simulate._BLOCK + 5)
+        default = run_partition_sweep(spec(seed=11), **arguments)
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        assert run_partition_sweep(spec(seed=11), **arguments) == default
+
+    def test_degenerate_draw_inside_a_block_names_the_first(self):
+        block = simulate._BLOCK
+
+        def bad(base, r):
+            cohort = generate_cohort(replace(base, seed=replication_seed(base.seed, r)))
+            return cohort.n_diseased in (0, len(cohort))
+
+        def bad_reps(base):
+            return [r for r in range(2 * block) if bad(base, r)]
+
+        # A seed whose first bad replication is not first in its block, with a
+        # later replication of the same block also bad.
+        tiny = next(
+            base
+            for base in (spec(n=3, prevalence=0.2, seed=s) for s in range(200))
+            if (found := bad_reps(base))
+            and found[0] % block
+            and len(found) > 1
+            and found[1] // block == found[0] // block
+        )
+        first = bad_reps(tiny)[0]
+        with pytest.raises(DegenerateCohortError) as excinfo:
+            run_partition_sweep(tiny, k_values=(2,), reps=2 * block)
+        message = str(excinfo.value)
+        assert f"replication {first} " in message
+        assert f"child seed {replication_seed(tiny.seed, first)}" in message
 
     def test_aggregates_match_a_manual_replay(self):
         base = spec(n=150, seed=9)
