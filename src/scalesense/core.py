@@ -300,6 +300,13 @@ class ScaleAnalysis:
             itertools.chain.from_iterable(self.roc), "roc points", InvariantViolationError
         ).tolist()
         object.__setattr__(self, "roc", tuple(zip(flat[::2], flat[1::2])))
+        k = self.partition.k
+        if not k == self.pmf_diseased.k == self.pmf_healthy.k:
+            raise InvariantViolationError("partition and pmfs must have the same k")
+        if len(self.roc) != k + 1:
+            raise InvariantViolationError(f"expected {k + 1} roc points, got {len(self.roc)}")
+        if not 1 <= self.summary.c <= k:
+            raise InvariantViolationError(f"threshold c={self.summary.c} is not in 1..{k}")
 
 
 def _tail_sums(probs) -> np.ndarray:
@@ -348,22 +355,12 @@ def _require_both_groups(n1: int, n0: int) -> None:
         )
 
 
-def _sort_by_score(cohort: Cohort) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Ascending scores, ``cum1[i]`` = diseased among the first ``i`` of them,
-    and the two group sizes, both non-zero.  The argsort need not be stable:
-    tied scores share a class, so their order changes no count."""
-    order = np.argsort(cohort.scores)
-    cum1 = np.zeros(order.size + 1, dtype=np.int64)
-    np.cumsum(cohort.outcomes[order], out=cum1[1:])
-    n1 = int(cum1[-1])
-    _require_both_groups(n1, order.size - n1)
-    return cohort.scores[order], cum1, n1, order.size - n1
-
-
 def _sort_block(scores, outcomes, cum1, ends) -> None:
     """Sort each row of ``scores`` in place; set ``cum1[:, i]`` to the diseased
     among its ``i`` smallest scores and ``ends[:, j]`` to the count of its
-    scores up to the end of rank ``j``'s tie run (column 0 of both stays 0)."""
+    scores up to the end of rank ``j``'s tie run (column 0 of both stays 0).
+    Neither sort need be stable: tied scores share a class, so their order
+    changes no count."""
     by_score = np.take_along_axis(outcomes, np.argsort(scores, axis=1), axis=1)
     np.cumsum(by_score, axis=1, out=cum1[:, 1:])
     scores.sort(axis=1)
@@ -373,18 +370,12 @@ def _sort_block(scores, outcomes, cum1, ends) -> None:
     np.minimum.accumulate(ends[:, :0:-1], axis=1, out=ends[:, :0:-1])
 
 
-def _class_counts(ordered: np.ndarray, cum1: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
-    """Boundaries and :func:`_edge_counts` of one cohort, edges by binary search."""
-    cuts = ordered[_class_ranks(ordered.size, k)[1:] - 1]
-    edges = np.append(0, np.searchsorted(ordered, cuts, side="right"))
-    counts1, counts0 = _edge_counts(cum1[None], edges[None])
-    return cuts[:-1], counts1[0], counts0[0]
-
-
 def _edge_counts(cum1: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diseased and healthy counts per class and cohort row, checked exactly:
-    the kernel of :func:`analyze_cohort` and the sweep.  ``edges[r, j]`` counts
-    row ``r``'s sorted scores up to ``boundary_j`` (classes ``1 .. j``)."""
+    the kernel of :func:`analyze_cohort` (a block of one row) and the sweep.
+    ``edges[r, j]`` counts row ``r``'s sorted scores up to ``boundary_j``
+    (classes ``1 .. j``): the tie-run ends of :func:`_sort_block` read at
+    the :func:`_class_ranks`."""
     at_edges = cum1[np.arange(len(cum1))[:, None], edges]
     counts1 = at_edges[:, 1:] - at_edges[:, :-1]
     counts0 = edges[:, 1:] - edges[:, :-1] - counts1
@@ -473,10 +464,7 @@ def _criterion_values(
 
 def _best_threshold(probs1, probs0, criterion: ThresholdCriterion) -> tuple:
     """``(c, se, sp, criterion value)`` at the optimal ``c`` of each row of
-    class probabilities given each outcome, ties to the smallest ``c``; a
-    1-D pair is one cohort, a batch of one row, and gives scalars."""
-    if np.ndim(probs1) == 1:
-        return tuple(x[0] for x in _best_threshold([probs1], [probs0], criterion))
+    class probabilities given each outcome, ties to the smallest ``c``."""
     se = _tail_sums(probs1)[:, :-1]
     sp = _head_sums(probs0)[:, :-1]
     values = _criterion_values(criterion, se, sp)
@@ -501,7 +489,9 @@ def select_threshold(
         raise DimensionMismatchError(
             f"pmf class counts differ: {pmf_diseased.k} vs {pmf_healthy.k}"
         )
-    c, se, sp, value = _best_threshold(pmf_diseased.probs, pmf_healthy.probs, criterion)
+    c, se, sp, value = (
+        x[0] for x in _best_threshold([pmf_diseased.probs], [pmf_healthy.probs], criterion)
+    )
     return DiagnosticSummary(c=c, se=float(se), sp=float(sp), criterion_value=float(value))
 
 
@@ -532,14 +522,21 @@ def analyze_cohort(
     """Run the full pipeline: partition, estimate, select, trace the ROC.
 
     Partition, pmfs and errors are those of :func:`discretize` and
-    :func:`estimate_conditional_pmfs`, counted by :func:`_class_counts`.
+    :func:`estimate_conditional_pmfs`, counted by the sweep's kernel
+    (:func:`_sort_block`, :func:`_edge_counts`) on a block of one row.
     """
     k = _class_count(cohort, k)
-    ordered, cum1, n1, n0 = _sort_by_score(cohort)
-    boundaries, counts1, counts0 = _class_counts(ordered, cum1, k)
-    pmf1, pmf0 = _pmf_pair(counts1, n1, counts0, n0)
+    n = len(cohort)
+    scores = cohort.scores[None].copy()
+    cum1, ends = np.zeros((2, 1, n + 1), dtype=np.int64)
+    _sort_block(scores, cohort.outcomes[None], cum1, ends)
+    n1 = int(cum1[0, -1])
+    _require_both_groups(n1, n - n1)
+    ranks = _class_ranks(n, k)
+    counts1, counts0 = _edge_counts(cum1, ends[:, ranks])
+    pmf1, pmf0 = _pmf_pair(counts1[0], n1, counts0[0], n - n1)
     return ScaleAnalysis(
-        partition=PartitionSpec(k=k, boundaries=boundaries.tolist()),
+        partition=PartitionSpec(k=k, boundaries=scores[0, ranks[1:-1] - 1].tolist()),
         pmf_diseased=pmf1,
         pmf_healthy=pmf0,
         roc=tuple(roc_points(pmf1, pmf0)),

@@ -108,8 +108,8 @@ class SweepRecord:
         for name in ("sd_se", "sd_sp"):
             if getattr(self, name) < 0.0:
                 raise InvariantViolationError(f"{name} must be >= 0")
-        if self.mean_c < 1.0:
-            raise InvariantViolationError("mean_c must be >= 1")
+        if not 1.0 <= self.mean_c <= k:
+            raise InvariantViolationError(f"mean_c must lie in [1, {k}]")
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,8 @@ class ExperimentReport:
     def __post_init__(self) -> None:
         reps = strict_int(self.reps, "replications", EmptyExperimentError, minimum=1)
         k_values = tuple(
-            strict_int(k, "class count", InvalidClassCountError) for k in self.k_values
+            strict_int(k, "class count", InvalidClassCountError, minimum=2, maximum=self.spec.n)
+            for k in self.k_values
         )
         if tuple(r.k for r in self.records) != k_values:
             raise InvariantViolationError("need one record per k value, in order")
@@ -163,8 +164,9 @@ def run_partition_sweep(
     Each replication draws a fresh cohort from a child seed of
     ``spec.seed``.  Blocks of replications are sorted once, tie runs found
     by a running minimum, and the class counts at every ``k`` read off a
-    cumulative count (the kernel of :func:`~scalesense.core.analyze_cohort`)
-    to record the criterion-optimal sensitivity, specificity, and threshold.
+    cumulative count to record the criterion-optimal sensitivity,
+    specificity, and threshold: the kernel that
+    :func:`~scalesense.core.analyze_cohort` runs on a block of one row.
     Means and standard deviations (population form, so one replication gives
     sd 0) are aggregated per ``k``.  The first draw that leaves one outcome
     group empty fails with a degenerate-cohort error naming the replication

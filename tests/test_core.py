@@ -30,14 +30,11 @@ from scalesense import (
     specificity,
 )
 from scalesense.core import (
-    _best_threshold,
-    _class_counts,
     _class_ranks,
     _criterion_values,
     _edge_counts,
     _head_sums,
     _sort_block,
-    _sort_by_score,
     _tail_sums,
 )
 from conftest import integer_score_cohorts, pmf_pairs, pmfs
@@ -465,21 +462,11 @@ class TestCountingKernel:
         boundaries, counts1, counts0 = reference_counts(cohort, k)
         n1, n0 = cohort.n_diseased, cohort.n_healthy
         if n1 == 0 or n0 == 0:
-            for run in (lambda: _sort_by_score(cohort), lambda: analyze_cohort(cohort, k)):
-                with pytest.raises(DegenerateCohortError):
-                    run()
+            with pytest.raises(DegenerateCohortError):
+                analyze_cohort(cohort, k, criterion)
             return
-        ordered, cum1, *sizes = _sort_by_score(cohort)
-        assert sizes == [n1, n0]
-        kernel = _class_counts(ordered, cum1, k)
-        assert np.array_equal(kernel[0], boundaries)
-        assert kernel[1].tolist() == counts1.tolist()
-        assert kernel[2].tolist() == counts0.tolist()
-        expected = reference_summary(counts1 / n1, counts0 / n0, criterion)
-        c, se, sp, value = _best_threshold(kernel[1] / n1, kernel[2] / n0, criterion)
-        assert DiagnosticSummary(c=c, se=se, sp=sp, criterion_value=value) == expected
         analysis = analyze_cohort(cohort, k, criterion)
-        assert analysis.summary == expected
+        assert analysis.summary == reference_summary(counts1 / n1, counts0 / n0, criterion)
         assert analysis.partition.boundaries == tuple(boundaries.tolist())
         assert analysis.pmf_diseased.probs == tuple((counts1 / n1).tolist())
         assert analysis.pmf_healthy.probs == tuple((counts0 / n0).tolist())
@@ -504,8 +491,8 @@ class TestCountingKernel:
 
 class TestBlockKernel:
     """The sweep's block kernel on stacked tie-heavy rows: its running-minimum
-    edge finder against the binary search of :func:`_class_counts` and
-    against :func:`reference_counts`, row by row, at every ``k``."""
+    edge finder against a binary search, and its counts against
+    :func:`reference_counts`, row by row, at every ``k``."""
 
     @given(
         st.integers(1, 40).flatmap(
@@ -532,10 +519,6 @@ class TestBlockKernel:
                 assert np.array_equal(scores[row, ranks[1:-1] - 1], boundaries)
                 assert counts1[row].tolist() == ref1.tolist()
                 assert counts0[row].tolist() == ref0.tolist()
-                searched = _class_counts(scores[row], cum1[row], k)
-                assert np.array_equal(searched[0], boundaries)
-                assert searched[1].tolist() == ref1.tolist()
-                assert searched[2].tolist() == ref0.tolist()
 
     def test_miscounted_rows_fail_the_count_check(self):
         cum1 = np.array([[0, 1, 1, 2], [0, 0, 1, 1]])

@@ -408,6 +408,38 @@ def mutate(body, path, value=None, drop=False):
     return body
 
 
+# (document, JSON path, value put there, error code read_report must raise)
+MALFORMED_REPORTS = [
+    (sweep_document, ("schema_version",), "99", "schema-error"),
+    (sweep_document, ("payload", "reps"), -5, "empty-experiment"),
+    (sweep_document, ("payload", "spec", "seed"), 1.9, "spec-validation-error"),
+    (sweep_document, ("provenance", "seed"), "x", "invariant-violation"),
+    (sweep_document, ("payload", "records"), None, "schema-error"),
+    (sweep_document, ("payload", "k_values"), 5, "schema-error"),
+    (sweep_document, ("payload", "records", 0, "k"), "abc", "invariant-violation"),
+    (sweep_document, ("payload", "records", 0, "mean_se"), "x", "invariant-violation"),
+    # k_values are (4, 2, 3): n=3 leaves k=4 above n; record 1 has k=2.
+    (sweep_document, ("payload", "spec", "n"), 3, "invalid-class-count"),
+    (sweep_document, ("payload", "k_values", 0), 500, "invalid-class-count"),
+    (sweep_document, ("payload", "records", 1, "mean_c"), 9.0, "invariant-violation"),
+    # k=4: a partition, pmf, ROC list or threshold that disagrees with it.
+    (analysis_document, ("payload", "partition"), {"k": 2, "boundaries": [0.0]},
+     "invariant-violation"),
+    (analysis_document, ("payload", "pmf_diseased"), [1.0], "invariant-violation"),
+    (analysis_document, ("payload", "pmf_healthy"), [0.5, 0.5], "invariant-violation"),
+    (analysis_document, ("payload", "roc_points"), [[1.0, 1.0], [0.0, 0.0]],
+     "invariant-violation"),
+    (analysis_document, ("payload", "summary", "c"), 5, "invariant-violation"),
+]
+
+
+def malformed_report_id(make, path, value, code):
+    """``path-value-code``, led by ``analysis/`` for the analysis report."""
+    lead = "analysis/" if make is analysis_document else ""
+    shown = value if isinstance(value, (str, int, float, type(None))) else type(value).__name__
+    return f"{lead}{'/'.join(map(str, path))}-{shown}-{code}"
+
+
 def same_json(rewritten, original):
     """Equal JSON trees, down to key order and float bits, except that an
     integer in a float field reads back as the equal float."""
@@ -518,21 +550,12 @@ class TestReports:
             read_report(path)
 
     @pytest.mark.parametrize(
-        "path, value, code",
-        [
-            (("schema_version",), "99", "schema-error"),
-            (("payload", "reps"), -5, "empty-experiment"),
-            (("payload", "spec", "seed"), 1.9, "spec-validation-error"),
-            (("provenance", "seed"), "x", "invariant-violation"),
-            (("payload", "records"), None, "schema-error"),
-            (("payload", "k_values"), 5, "schema-error"),
-            (("payload", "records", 0, "k"), "abc", "invariant-violation"),
-            (("payload", "records", 0, "mean_se"), "x", "invariant-violation"),
-        ],
-        ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else None,
+        "make, path, value, code",
+        MALFORMED_REPORTS,
+        ids=[malformed_report_id(*case) for case in MALFORMED_REPORTS],
     )
-    def test_malformed_values_are_domain_errors(self, tmp_path, path, value, code):
-        body = mutate(report_body(sweep_document(), tmp_path), path, value)
+    def test_malformed_values_are_domain_errors(self, tmp_path, make, path, value, code):
+        body = mutate(report_body(make(), tmp_path), path, value)
         target = tmp_path / "bad.json"
         target.write_text(json.dumps(body))
         with pytest.raises(ScaleSenseError) as excinfo:
@@ -590,7 +613,7 @@ class TestReports:
             sd_se=stats[1],
             mean_sp=stats[2],
             sd_sp=stats[3],
-            mean_c=1.0 + stats[4] * k,
+            mean_c=1.0 + stats[4] * (k - 1),
         )
         spec = CohortSpec(
             n=100, prevalence=0.5, mu_healthy=-1.0, mu_diseased=1.0, sigma=2.0,
