@@ -98,6 +98,14 @@ def finite_floats(values, name: str, error: type[ScaleSenseError]) -> np.ndarray
     return array
 
 
+def require_types(owner, **kinds) -> None:
+    """Raise :class:`InvariantViolationError` unless each named field of
+    ``owner`` holds an instance of the type, or tuple of types, given for it."""
+    for name, kind in kinds.items():
+        if not isinstance(value := getattr(owner, name), kind):
+            raise InvariantViolationError(f"{name} has unexpected type {type(value).__name__}")
+
+
 class Outcome(IntEnum):
     """Binary reference standard: 1 = condition present, 0 = absent."""
 
@@ -165,7 +173,7 @@ class Cohort:
 
     @property
     def n_healthy(self) -> int:
-        return int(np.sum(self.outcomes == 0))
+        return len(self) - self.n_diseased
 
 
 @dataclass(frozen=True)
@@ -294,7 +302,12 @@ class ScaleAnalysis:
     criterion: ThresholdCriterion
 
     def __post_init__(self) -> None:
-        if any(len(point) != 2 for point in self.roc):
+        require_types(
+            self, partition=PartitionSpec, pmf_diseased=ConditionalPMF,
+            pmf_healthy=ConditionalPMF, roc=tuple, summary=DiagnosticSummary,
+            criterion=ThresholdCriterion,
+        )
+        if not all(isinstance(point, tuple) and len(point) == 2 for point in self.roc):
             raise InvariantViolationError("roc points must be (fpr, tpr) pairs")
         flat = finite_floats(
             itertools.chain.from_iterable(self.roc), "roc points", InvariantViolationError
@@ -318,7 +331,8 @@ def _tail_sums(probs) -> np.ndarray:
     """
     p = np.asarray(probs, dtype=np.float64)
     out = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
-    out[..., :-1] = np.minimum(np.cumsum(p[..., ::-1], axis=-1)[..., ::-1], 1.0)
+    tails = np.cumsum(p[..., ::-1], axis=-1, out=out[..., -2::-1])
+    np.minimum(tails, 1.0, out=tails)
     out[..., 0] = 1.0
     return out
 
@@ -327,7 +341,8 @@ def _head_sums(probs) -> np.ndarray:
     """Specificity at every threshold: ``out[..., c-1] = P(class < c)``."""
     p = np.asarray(probs, dtype=np.float64)
     out = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
-    out[..., 1:] = np.minimum(np.cumsum(p, axis=-1), 1.0)
+    heads = np.cumsum(p, axis=-1, out=out[..., 1:])
+    np.minimum(heads, 1.0, out=heads)
     out[..., -1] = 1.0
     return out
 
@@ -454,7 +469,9 @@ def _criterion_values(
     criterion: ThresholdCriterion, se: np.ndarray, sp: np.ndarray
 ) -> np.ndarray:
     if criterion is ThresholdCriterion.YOUDEN_J:
-        return se + sp - 1.0
+        values = np.add(se, sp)
+        values -= 1.0
+        return values
     if criterion is ThresholdCriterion.CLOSEST_TO_TOP_LEFT:
         return (1.0 - se) ** 2 + (1.0 - sp) ** 2
     if criterion is ThresholdCriterion.SE_SP_PRODUCT:

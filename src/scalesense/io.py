@@ -26,6 +26,7 @@ from .core import (
     PartitionSpec,
     ScaleAnalysis,
     ThresholdCriterion,
+    require_types,
     strict_int,
 )
 from .errors import (
@@ -75,10 +76,7 @@ class Provenance:
         if self.seed is not None:
             seed = strict_int(self.seed, "provenance seed", InvariantViolationError)
             object.__setattr__(self, "seed", seed)
-        if not isinstance(self.tool_version, str):
-            raise InvariantViolationError("tool_version must be a string")
-        if self.timestamp is not None and not isinstance(self.timestamp, str):
-            raise InvariantViolationError("timestamp must be a string or None")
+        require_types(self, tool_version=str, timestamp=(str, type(None)))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from .core import (
     discretize,
     estimate_conditional_pmfs,
     finite_float,
+    require_types,
     select_threshold,
     strict_int,
 )
@@ -43,7 +44,7 @@ DEFAULT_REPS = 1000
 
 _SEED_BOUND = 2**64
 
-_BLOCK = 16  # replications per block of the sweep; each numpy call covers a block
+_BLOCK_CELLS = 1 << 16  # replications x subjects per block of the sweep
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,16 @@ class ExperimentReport:
     records: tuple[SweepRecord, ...]
 
     def __post_init__(self) -> None:
+        require_types(
+            self, spec=CohortSpec, criterion=ThresholdCriterion, k_values=tuple, records=tuple
+        )
         reps = strict_int(self.reps, "replications", EmptyExperimentError, minimum=1)
         k_values = tuple(
             strict_int(k, "class count", InvalidClassCountError, minimum=2, maximum=self.spec.n)
             for k in self.k_values
         )
-        if tuple(r.k for r in self.records) != k_values:
-            raise InvariantViolationError("need one record per k value, in order")
+        if tuple(r.k if isinstance(r, SweepRecord) else None for r in self.records) != k_values:
+            raise InvariantViolationError("need one SweepRecord per k value, in order")
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "k_values", k_values)
 
@@ -167,6 +171,9 @@ def run_partition_sweep(
     cumulative count to record the criterion-optimal sensitivity,
     specificity, and threshold: the kernel that
     :func:`~scalesense.core.analyze_cohort` runs on a block of one row.
+    A block holds about 65k replications x subjects (32 replications at
+    ``n = 2000``, one once ``n >= 65536``), so its memory is bounded
+    whatever ``n`` is; the block size changes no bit of the report.
     Means and standard deviations (population form, so one replication gives
     sd 0) are aggregated per ``k``.  The first draw that leaves one outcome
     group empty fails with a degenerate-cohort error naming the replication
@@ -182,9 +189,10 @@ def run_partition_sweep(
 
     n = spec.n
     se, sp, cc = (np.empty((reps, len(ks))) for _ in range(3))
-    block = min(_BLOCK, reps)
+    block = max(1, min(reps, _BLOCK_CELLS // n))
     scores, outcomes = np.empty((block, n)), np.empty((block, n), dtype=np.int8)
     cum1, run_end = np.zeros((2, block, n + 1), dtype=np.int32)
+    class_ranks = [_class_ranks(n, k) for k in ks]
     for start in range(0, reps, block):
         rows = slice(start, min(start + block, reps))
         size = rows.stop - start
@@ -200,8 +208,8 @@ def run_partition_sweep(
             scores[i], outcomes[i] = cohort.scores, cohort.outcomes
         _sort_block(scores[:size], outcomes[:size], cum1[:size], run_end[:size])
         n1 = cum1[:size, -1:]
-        for j, k in enumerate(ks):
-            counts1, counts0 = _edge_counts(cum1[:size], run_end[:size, _class_ranks(n, k)])
+        for j, ranks in enumerate(class_ranks):
+            counts1, counts0 = _edge_counts(cum1[:size], run_end[:size, ranks])
             cc[rows, j], se[rows, j], sp[rows, j], _ = _best_threshold(
                 counts1 / n1, counts0 / (n - n1), criterion
             )

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scalesense import (
     AlignmentError,
     Cohort,
+    CohortSpec,
     ConditionalPMF,
     DegenerateCohortError,
     DiagnosticSummary,
@@ -25,6 +27,7 @@ from scalesense import (
     discretize,
     estimate_conditional_pmfs,
     roc_points,
+    run_partition_sweep,
     select_threshold,
     sensitivity,
     specificity,
@@ -79,6 +82,17 @@ def tie_heavy_cohorts(draw, max_n=80, n=None):
     return Cohort(scores=np.array(scores, dtype=np.float64), outcomes=np.array(outcomes))
 
 
+def small_analysis():
+    return analyze_cohort(Cohort(scores=[0.1, 0.4, 0.7, 0.9], outcomes=[0, 1, 0, 1]), 2)
+
+
+def small_sweep():
+    spec = CohortSpec(
+        n=20, prevalence=0.5, mu_healthy=0.0, mu_diseased=1.0, sigma=1.0, seed=1
+    )
+    return run_partition_sweep(spec, k_values=(2, 4), reps=2)
+
+
 class TestValueTypes:
     def test_cohort_rejects_misaligned_arrays(self):
         with pytest.raises(AlignmentError):
@@ -114,6 +128,17 @@ class TestValueTypes:
             lambda: ConditionalPMF(probs=(1.0,), conditioning_outcome=True),
             lambda: DiagnosticSummary(c=1.0, se=0.5, sp=0.5, criterion_value=0.0),
             lambda: DiagnosticSummary(c=1, se="0.5", sp=0.5, criterion_value=0.0),
+            lambda: replace(small_analysis(), partition=None),
+            lambda: replace(small_analysis(), pmf_healthy=(0.5, 0.5)),
+            lambda: replace(small_analysis(), roc=None),
+            lambda: replace(small_analysis(), roc=(None, None, None)),
+            lambda: replace(small_analysis(), summary={"c": 1}),
+            lambda: replace(small_analysis(), criterion="youden"),
+            lambda: replace(small_sweep(), spec=None),
+            lambda: replace(small_sweep(), criterion="youden"),
+            lambda: replace(small_sweep(), k_values=None),
+            lambda: replace(small_sweep(), records=None),
+            lambda: replace(small_sweep(), records=(None, None)),
         ],
         ids=[
             "cohort-text-score",
@@ -133,6 +158,17 @@ class TestValueTypes:
             "pmf-bool-outcome",
             "summary-float-c",
             "summary-text-se",
+            "analysis-partition-none",
+            "analysis-pmf-tuple",
+            "analysis-roc-none",
+            "analysis-roc-point-none",
+            "analysis-summary-dict",
+            "analysis-criterion-text",
+            "report-spec-none",
+            "report-criterion-text",
+            "report-k-values-none",
+            "report-records-none",
+            "report-record-none",
         ],
     )
     def test_rejects_values_that_would_be_coerced(self, build):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -212,9 +213,10 @@ class TestPartitionSweep:
         assert got == reference_sweep(base, ks, 12, criterion)
 
     @pytest.mark.parametrize("criterion", list(ThresholdCriterion), ids=lambda c: c.value)
-    def test_matches_the_reference_at_block_boundaries(self, criterion):
-        block = simulate._BLOCK
+    def test_matches_the_reference_at_block_boundaries(self, monkeypatch, criterion):
+        block = 16
         base = spec(n=60, seed=5)
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", base.n * block)
         ks = (2, 3, 7, 13, 30, 59, 60)
         for reps in (1, block - 1, block, block + 1, 2 * block + 3):
             report = run_partition_sweep(base, k_values=ks, reps=reps, criterion=criterion)
@@ -223,15 +225,24 @@ class TestPartitionSweep:
             ]
             assert got == reference_sweep(base, ks, reps, criterion), f"reps={reps}"
 
-    @pytest.mark.parametrize("block", [1, 3])
-    def test_block_size_changes_no_bit(self, monkeypatch, block):
-        arguments = dict(k_values=(2, 5, 50, 400), reps=2 * simulate._BLOCK + 5)
-        default = run_partition_sweep(spec(seed=11), **arguments)
-        monkeypatch.setattr(simulate, "_BLOCK", block)
-        assert run_partition_sweep(spec(seed=11), **arguments) == default
+    def test_one_row_per_block_above_the_cell_budget(self):
+        base = spec(n=simulate._BLOCK_CELLS + 1, seed=3)
+        ks = (2, 7, 1000)
+        report = run_partition_sweep(base, k_values=ks, reps=3)
+        got = [(r.k, r.mean_se, r.sd_se, r.mean_sp, r.sd_sp, r.mean_c) for r in report.records]
+        assert got == reference_sweep(base, ks, 3, ThresholdCriterion.YOUDEN_J)
 
-    def test_degenerate_draw_inside_a_block_names_the_first(self):
-        block = simulate._BLOCK
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_block_size_changes_no_bit(self, monkeypatch, rows):
+        base = spec(seed=11)
+        arguments = dict(k_values=(2, 5, 50, 400), reps=37)
+        default = run_partition_sweep(base, **arguments)
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", base.n * rows)
+        assert run_partition_sweep(base, **arguments) == default
+
+    def test_degenerate_draw_inside_a_block_names_the_first(self, monkeypatch):
+        block = 16
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * block)
 
         def bad(base, r):
             cohort = generate_cohort(replace(base, seed=replication_seed(base.seed, r)))
@@ -256,6 +267,18 @@ class TestPartitionSweep:
         message = str(excinfo.value)
         assert f"replication {first} " in message
         assert f"child seed {replication_seed(tiny.seed, first)}" in message
+
+    def test_peak_memory_is_bounded_at_large_n(self):
+        # A block holds at most about _BLOCK_CELLS subjects, so a cohort this
+        # large is swept one replication at a time (about 8 MB traced); a
+        # fixed 16 rows per block would hold 16 cohorts at once (about 44 MB).
+        tracemalloc.start()
+        try:
+            run_partition_sweep(spec(n=100_000), k_values=(2, 10), reps=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_aggregates_match_a_manual_replay(self):
         base = spec(n=150, seed=9)
