@@ -304,10 +304,10 @@ class ScaleAnalysis:
     def __post_init__(self) -> None:
         require_types(
             self, partition=PartitionSpec, pmf_diseased=ConditionalPMF,
-            pmf_healthy=ConditionalPMF, roc=tuple, summary=DiagnosticSummary,
+            pmf_healthy=ConditionalPMF, roc=(tuple, list), summary=DiagnosticSummary,
             criterion=ThresholdCriterion,
         )
-        if not all(isinstance(point, tuple) and len(point) == 2 for point in self.roc):
+        if not all(isinstance(point, (tuple, list)) and len(point) == 2 for point in self.roc):
             raise InvariantViolationError("roc points must be (fpr, tpr) pairs")
         flat = finite_floats(
             itertools.chain.from_iterable(self.roc), "roc points", InvariantViolationError
@@ -331,8 +331,7 @@ def _tail_sums(probs) -> np.ndarray:
     """
     p = np.asarray(probs, dtype=np.float64)
     out = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
-    tails = np.cumsum(p[..., ::-1], axis=-1, out=out[..., -2::-1])
-    np.minimum(tails, 1.0, out=tails)
+    out[..., :-1] = np.minimum(np.cumsum(p[..., ::-1], axis=-1)[..., ::-1], 1.0)
     out[..., 0] = 1.0
     return out
 
@@ -341,8 +340,7 @@ def _head_sums(probs) -> np.ndarray:
     """Specificity at every threshold: ``out[..., c-1] = P(class < c)``."""
     p = np.asarray(probs, dtype=np.float64)
     out = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
-    heads = np.cumsum(p, axis=-1, out=out[..., 1:])
-    np.minimum(heads, 1.0, out=heads)
+    out[..., 1:] = np.minimum(np.cumsum(p, axis=-1), 1.0)
     out[..., -1] = 1.0
     return out
 
@@ -436,7 +434,7 @@ def estimate_conditional_pmfs(
             f"{len(assignment)} class indices vs {len(cohort)} cohort rows"
         )
     n1 = cohort.n_diseased
-    n0 = cohort.n_healthy
+    n0 = len(cohort) - n1
     _require_both_groups(n1, n0)
     k = assignment.k
     idx = assignment.class_indices
@@ -469,9 +467,7 @@ def _criterion_values(
     criterion: ThresholdCriterion, se: np.ndarray, sp: np.ndarray
 ) -> np.ndarray:
     if criterion is ThresholdCriterion.YOUDEN_J:
-        values = np.add(se, sp)
-        values -= 1.0
-        return values
+        return se + sp - 1.0
     if criterion is ThresholdCriterion.CLOSEST_TO_TOP_LEFT:
         return (1.0 - se) ** 2 + (1.0 - sp) ** 2
     if criterion is ThresholdCriterion.SE_SP_PRODUCT:

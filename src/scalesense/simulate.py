@@ -125,7 +125,8 @@ class ExperimentReport:
 
     def __post_init__(self) -> None:
         require_types(
-            self, spec=CohortSpec, criterion=ThresholdCriterion, k_values=tuple, records=tuple
+            self, spec=CohortSpec, criterion=ThresholdCriterion, k_values=(tuple, list),
+            records=(tuple, list),
         )
         reps = strict_int(self.reps, "replications", EmptyExperimentError, minimum=1)
         k_values = tuple(
@@ -136,6 +137,7 @@ class ExperimentReport:
             raise InvariantViolationError("need one SweepRecord per k value, in order")
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "k_values", k_values)
+        object.__setattr__(self, "records", tuple(self.records))
 
 
 def replication_seed(master_seed: int, replication: int) -> int:
@@ -166,14 +168,12 @@ def run_partition_sweep(
     """Monte Carlo sweep over class counts.
 
     Each replication draws a fresh cohort from a child seed of
-    ``spec.seed``.  Blocks of replications are sorted once, tie runs found
-    by a running minimum, and the class counts at every ``k`` read off a
+    ``spec.seed``.  Blocks of about 65k replications x subjects (32
+    replications at ``n = 2000``) are sorted once, tie runs found by a
+    running minimum, and the class counts at every ``k`` read off a
     cumulative count to record the criterion-optimal sensitivity,
     specificity, and threshold: the kernel that
     :func:`~scalesense.core.analyze_cohort` runs on a block of one row.
-    A block holds about 65k replications x subjects (32 replications at
-    ``n = 2000``, one once ``n >= 65536``), so its memory is bounded
-    whatever ``n`` is; the block size changes no bit of the report.
     Means and standard deviations (population form, so one replication gives
     sd 0) are aggregated per ``k``.  The first draw that leaves one outcome
     group empty fails with a degenerate-cohort error naming the replication
@@ -200,7 +200,7 @@ def run_partition_sweep(
             child = replace(spec, seed=replication_seed(spec.seed, start + i))
             cohort = generate_cohort(child)
             try:
-                _require_both_groups(cohort.n_diseased, cohort.n_healthy)
+                _require_both_groups(n1 := cohort.n_diseased, n - n1)
             except DegenerateCohortError as exc:
                 raise DegenerateCohortError(
                     f"replication {start + i} (child seed {child.seed}): {exc}"

@@ -176,6 +176,14 @@ class TestValueTypes:
             build()
         assert excinfo.value.code == "invariant-violation"
 
+    def test_list_parts_are_accepted_as_tuples(self):
+        analysis, report = small_analysis(), small_sweep()
+        roc = roc_points(analysis.pmf_diseased, analysis.pmf_healthy)
+        assert replace(analysis, roc=[list(point) for point in roc]) == analysis
+        as_lists = replace(report, k_values=list(report.k_values), records=list(report.records))
+        assert as_lists == report
+        assert isinstance(as_lists.records, tuple)
+
     def test_cohort_arrays_are_frozen(self):
         cohort = Cohort(scores=[1.0], outcomes=[0])
         with pytest.raises(ValueError):
