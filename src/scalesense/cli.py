@@ -41,18 +41,14 @@ from .simulate import (
 _CRITERIA = {c.value: c for c in ThresholdCriterion}
 
 
-def _comma_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+def _comma_list(convert, noun: str):
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
 
-
-def _comma_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--k-list",
-        type=_comma_ints,
+        type=_comma_list(int, "integers"),
         default=DEFAULT_CLASS_LADDER,
         help="comma-separated class counts "
         f"(default {','.join(map(str, DEFAULT_CLASS_LADDER))})",
@@ -129,12 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     refine = sub.add_parser(
         "refine-check", help="verify sensitivity monotonicity for one refinement"
     )
-    refine.add_argument(
-        "--base", required=True, type=_comma_floats, help="base pmf, comma-separated"
-    )
-    refine.add_argument(
-        "--deltas", required=True, type=_comma_floats, help="shaved mass per class"
-    )
+    floats = _comma_list(float, "floats")
+    refine.add_argument("--base", required=True, type=floats, help="base pmf, comma-separated")
+    refine.add_argument("--deltas", required=True, type=floats, help="shaved mass per class")
     refine.add_argument("--c", required=True, type=int, help="base-scale threshold")
     refine.add_argument(
         "--c-prime", required=True, type=int, help="refined-scale threshold"

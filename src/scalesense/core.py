@@ -85,6 +85,8 @@ def finite_floats(values, name: str, error: type[ScaleSenseError]) -> np.ndarray
     Element types are checked once per distinct type and finiteness in one
     numpy pass, so per-``k`` value types stay cheap inside the sweep.
     """
+    if not np.iterable(values):
+        raise error(f"{name} must be a sequence of numbers, got {values!r}")
     values = tuple(values)
     for kind in set(map(type, values)):
         if issubclass(kind, bool) or not issubclass(kind, _REAL):
@@ -210,9 +212,13 @@ class ScaleAssignment:
 
     def __post_init__(self) -> None:
         k = strict_int(self.k, "class count", InvariantViolationError, minimum=1)
-        idx = np.array(self.class_indices, dtype=np.int64, copy=True)
-        if idx.ndim != 1:
-            raise InvariantViolationError("class indices must be one-dimensional")
+        try:
+            idx = np.array(self.class_indices, copy=True)
+        except (TypeError, ValueError):  # ragged nesting
+            raise InvariantViolationError("class indices must be a 1-D integer sequence") from None
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise InvariantViolationError("class indices must be a 1-D integer sequence")
+        idx = idx.astype(np.int64, copy=False)
         if idx.size and (idx.min() < 1 or idx.max() > k):
             raise InvariantViolationError(f"class indices must lie in 1..{k}")
         idx.setflags(write=False)
@@ -292,20 +298,20 @@ class DiagnosticSummary:
 
 @dataclass(frozen=True)
 class ScaleAnalysis:
-    """Full single-cohort result: partition, pmfs, ROC set, chosen cut."""
+    """Full single-cohort result: criterion, partition, pmfs, ROC set, chosen cut."""
 
+    criterion: ThresholdCriterion
     partition: PartitionSpec
     pmf_diseased: ConditionalPMF
     pmf_healthy: ConditionalPMF
     roc: tuple[tuple[float, float], ...]
     summary: DiagnosticSummary
-    criterion: ThresholdCriterion
 
     def __post_init__(self) -> None:
         require_types(
-            self, partition=PartitionSpec, pmf_diseased=ConditionalPMF,
-            pmf_healthy=ConditionalPMF, roc=(tuple, list), summary=DiagnosticSummary,
-            criterion=ThresholdCriterion,
+            self, criterion=ThresholdCriterion, partition=PartitionSpec,
+            pmf_diseased=ConditionalPMF, pmf_healthy=ConditionalPMF, roc=(tuple, list),
+            summary=DiagnosticSummary,
         )
         if not all(isinstance(point, (tuple, list)) and len(point) == 2 for point in self.roc):
             raise InvariantViolationError("roc points must be (fpr, tpr) pairs")
@@ -549,10 +555,10 @@ def analyze_cohort(
     counts1, counts0 = _edge_counts(cum1, ends[:, ranks])
     pmf1, pmf0 = _pmf_pair(counts1[0], n1, counts0[0], n - n1)
     return ScaleAnalysis(
+        criterion=criterion,
         partition=PartitionSpec(k=k, boundaries=scores[0, ranks[1:-1] - 1].tolist()),
         pmf_diseased=pmf1,
         pmf_healthy=pmf0,
         roc=tuple(roc_points(pmf1, pmf0)),
         summary=select_threshold(pmf1, pmf0, criterion),
-        criterion=criterion,
     )

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Optional, Union
 
@@ -42,6 +43,9 @@ SCHEMA_VERSION = "1"
 
 FLAT_CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
 
+_KEYS = {"roc": "roc_points"}  # JSON keys other than their field's name
+_KINDS = {ExperimentReport: "partition_sweep", ScaleAnalysis: "scale_analysis"}  # payload tags
+
 
 @dataclass(frozen=True)
 class CohortFileSchema:
@@ -53,6 +57,7 @@ class CohortFileSchema:
     has_header: bool = True
 
     def __post_init__(self) -> None:
+        require_types(self, score_column=str, outcome_column=str, delimiter=str)
         for column in (self.score_column, self.outcome_column):
             if not column or column != column.strip():  # load_cohort strips names
                 raise InvariantViolationError(
@@ -86,6 +91,9 @@ class ReportDocument:
     schema_version: str
     provenance: Provenance
     payload: Union[ExperimentReport, ScaleAnalysis]
+
+    def __post_init__(self) -> None:
+        require_types(self, schema_version=str, provenance=Provenance, payload=tuple(_KINDS))
 
 
 def load_cohort(
@@ -177,31 +185,20 @@ def _write_text(path: Union[str, Path], text: str) -> None:
 
 
 def _fields(value) -> dict:
-    """A dataclass as a JSON object: its fields, in declaration order."""
-    return {f.name: getattr(value, f.name) for f in fields(value)}
+    """A dataclass as a JSON object: its fields in declaration order, as ``_KEYS`` names them."""
+    return {_KEYS.get(f.name, f.name): getattr(value, f.name) for f in fields(value)}
 
 
-def _payload_to_dict(payload: Union[ExperimentReport, ScaleAnalysis]) -> dict:
-    if not isinstance(payload, (ExperimentReport, ScaleAnalysis)):
-        raise SchemaError(f"unsupported payload type {type(payload).__name__}")
-    if isinstance(payload, ExperimentReport):
-        return {
-            "kind": "partition_sweep",
-            "spec": _fields(payload.spec),
-            "criterion": payload.criterion.value,
-            "reps": payload.reps,
-            "k_values": payload.k_values,
-            "records": [_fields(r) for r in payload.records],
-        }
-    return {
-        "kind": "scale_analysis",
-        "criterion": payload.criterion.value,
-        "partition": _fields(payload.partition),
-        "pmf_diseased": payload.pmf_diseased.probs,
-        "pmf_healthy": payload.pmf_healthy.probs,
-        "roc_points": payload.roc,
-        "summary": _fields(payload.summary),
-    }
+def _encode(value):
+    """``json.dumps`` hook: report values as the JSON their reader expects."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, ConditionalPMF):
+        return value.probs
+    if is_dataclass(value):
+        kind = _KINDS.get(type(value))
+        return {"kind": kind, **_fields(value)} if kind else _fields(value)
+    raise SchemaError(f"cannot write a {type(value).__name__} to a report")
 
 
 def write_report(
@@ -213,13 +210,10 @@ def write_report(
     is defined for sweep payloads only: one row per class count, ascending
     by ``k``, 12 significant digits.
     """
+    if not isinstance(document, ReportDocument):
+        raise SchemaError(f"cannot write a {type(document).__name__} as a report")
     if fmt == "structured-json":
-        body = {
-            "schema_version": document.schema_version,
-            "provenance": _fields(document.provenance),
-            "payload": _payload_to_dict(document.payload),
-        }
-        _write_text(path, json.dumps(body, indent=2) + "\n")
+        _write_text(path, json.dumps(document, indent=2, default=_encode) + "\n")
     elif fmt == "flat-csv":
         if not isinstance(document.payload, ExperimentReport):
             raise SchemaError("flat-csv output is defined for sweep reports only")
@@ -235,11 +229,11 @@ def _csv_cell(value) -> str:
     return str(value) if isinstance(value, int) else format(value, ".12g")
 
 
-def _build(cls, mapping, context: str, keys: Optional[dict] = None, **decoders):
+def _build(cls, mapping, context: str, **decoders):
     """Construct ``cls`` from the decoded JSON object ``mapping``.
 
-    ``mapping`` must hold one key per field of ``cls``; ``keys`` renames
-    fields whose JSON key differs.  ``decoders`` turn a raw JSON value into
+    ``mapping`` must hold one key per field of ``cls``, named as
+    :func:`_fields` names it.  ``decoders`` turn a raw JSON value into
     the field's value, called as ``decode(raw, key)``.  The constructor
     then validates every value.
     """
@@ -247,7 +241,7 @@ def _build(cls, mapping, context: str, keys: Optional[dict] = None, **decoders):
         raise SchemaError(f"report {context} must be a JSON object")
     values = {}
     for f in fields(cls):
-        key = (keys or {}).get(f.name, f.name)
+        key = _KEYS.get(f.name, f.name)
         if key not in mapping:
             raise SchemaError(f"report {context} lacks key '{key}'")
         decode = decoders.get(f.name)
@@ -276,7 +270,7 @@ def _criterion(value, key: str) -> ThresholdCriterion:
 
 def _payload(mapping, key: str) -> Union[ExperimentReport, ScaleAnalysis]:
     kind = mapping.get("kind") if isinstance(mapping, dict) else None
-    if kind == "partition_sweep":
+    if kind == _KINDS[ExperimentReport]:
         return _build(
             ExperimentReport,
             mapping,
@@ -288,18 +282,17 @@ def _payload(mapping, key: str) -> Union[ExperimentReport, ScaleAnalysis]:
                 _build(SweepRecord, r, "record") for r in _items(v, k)
             ),
         )
-    if kind == "scale_analysis":
+    if kind == _KINDS[ScaleAnalysis]:
         return _build(
             ScaleAnalysis,
             mapping,
             key,
-            keys={"roc": "roc_points"},
+            criterion=_criterion,
             partition=lambda v, k: _build(PartitionSpec, v, k, boundaries=_items),
             pmf_diseased=lambda v, k: ConditionalPMF(_items(v, k), Outcome.DISEASED),
             pmf_healthy=lambda v, k: ConditionalPMF(_items(v, k), Outcome.HEALTHY),
             roc=lambda v, k: tuple(_items(point, k) for point in _items(v, k)),
             summary=lambda v, k: _build(DiagnosticSummary, v, k),
-            criterion=_criterion,
         )
     raise SchemaError(f"unknown payload kind {kind!r}")
 

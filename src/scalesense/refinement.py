@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Optional
 
 from .core import MASS_TOLERANCE, ConditionalPMF, Outcome, sensitivity
-from .core import finite_float, finite_floats, strict_int
+from .core import finite_float, finite_floats, require_types, strict_int
 from .errors import (
     DimensionMismatchError,
     EmptyGridError,
@@ -48,6 +48,12 @@ class MonotonicityVerdict:
     se_base: float
     se_refined: float
 
+    def __post_init__(self) -> None:
+        require_types(self, status=VerdictStatus)
+        for name in ("se_base", "se_refined"):
+            value = finite_float(getattr(self, name), name, InvariantViolationError)
+            object.__setattr__(self, name, value)
+
 
 @dataclass(frozen=True)
 class RefinementWitness:
@@ -75,6 +81,7 @@ class RefinementWitness:
     c_prime: int
 
     def __post_init__(self) -> None:
+        require_types(self, base=ConditionalPMF, refined=ConditionalPMF)
         deltas = tuple(
             finite_floats(self.deltas, "deltas", InvariantViolationError).tolist()
         )

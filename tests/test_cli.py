@@ -232,6 +232,23 @@ class TestUsageErrors:
     def test_non_integer_k_exits_two(self, capsys):
         assert invoke(capsys, "analyze", "--input", "x", "--k", "two", "--out", "y")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--seed", "1", "--n", "50", "--prevalence", "0.3", "--mu0", "0",
+              "--mu1", "1", "--sigma", "1", "--k-list", "2,x", "--out", "s.json"],
+             "expected comma-separated integers, got '2,x'"),
+            (["refine-check", "--base", "0.5,0.5", "--deltas", "0.1,y", "--c", "1",
+              "--c-prime", "1"],
+             "expected comma-separated floats, got '0.1,y'"),
+        ],
+        ids=["k-list", "deltas"],
+    )
+    def test_malformed_comma_list_exits_two(self, capsys, argv, message):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2
+        assert message in err
+
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0
         for sub in ("analyze", "simulate", "sweep", "refine-check", "counterexample"):

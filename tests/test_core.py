@@ -1,14 +1,16 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalesense
 from scalesense import (
     AlignmentError,
     Cohort,
+    CohortFileSchema,
     CohortSpec,
     ConditionalPMF,
     DegenerateCohortError,
@@ -18,11 +20,17 @@ from scalesense import (
     InsufficientSamplesError,
     InvalidClassCountError,
     InvariantViolationError,
+    MonotonicityVerdict,
     Outcome,
     PartitionSpec,
+    Provenance,
+    RefinementWitness,
+    ReportDocument,
     ScaleAssignment,
+    ScaleSenseError,
     ThresholdCriterion,
     ThresholdOutOfRangeError,
+    VerdictStatus,
     analyze_cohort,
     discretize,
     estimate_conditional_pmfs,
@@ -31,6 +39,7 @@ from scalesense import (
     select_threshold,
     sensitivity,
     specificity,
+    verify_monotonicity,
 )
 from scalesense.core import (
     _class_ranks,
@@ -93,6 +102,30 @@ def small_sweep():
     return run_partition_sweep(spec, k_values=(2, 4), reps=2)
 
 
+def small_document():
+    return ReportDocument("1", Provenance(seed=1, tool_version="0.1.0"), small_analysis())
+
+
+def public_dataclass_examples():
+    """One valid instance of every dataclass that ``scalesense`` exports."""
+    analysis, report = small_analysis(), small_sweep()
+    cohort = Cohort(scores=[0.1, 0.4, 0.7, 0.9], outcomes=[0, 1, 0, 1])
+    partition, assignment = discretize(cohort, 2)
+    witness = RefinementWitness.build(analysis.pmf_diseased, (0.0, 0.25), c=1, c_prime=2)
+    document = small_document()
+    examples = [
+        cohort, partition, assignment, analysis.pmf_diseased, analysis.summary, analysis,
+        witness, verify_monotonicity(witness), report.spec, report.records[0], report,
+        CohortFileSchema(), document.provenance, document,
+    ]
+    return {type(example): example for example in examples}
+
+
+PUBLIC_DATACLASSES = [
+    obj for name in scalesense.__all__ if is_dataclass(obj := getattr(scalesense, name))
+]
+
+
 class TestValueTypes:
     def test_cohort_rejects_misaligned_arrays(self):
         with pytest.raises(AlignmentError):
@@ -139,6 +172,13 @@ class TestValueTypes:
             lambda: replace(small_sweep(), k_values=None),
             lambda: replace(small_sweep(), records=None),
             lambda: replace(small_sweep(), records=(None, None)),
+            lambda: ScaleAssignment(k=2, class_indices=[1.7, 2]),
+            lambda: ScaleAssignment(k=2, class_indices=None),
+            lambda: MonotonicityVerdict(status=None, se_base="x", se_refined=None),
+            lambda: MonotonicityVerdict(status="holds", se_base=1.0, se_refined=1.0),
+            lambda: MonotonicityVerdict(status=VerdictStatus.HOLDS, se_base="x", se_refined=1.0),
+            lambda: replace(small_document(), payload=None),
+            lambda: replace(small_document(), provenance=None),
         ],
         ids=[
             "cohort-text-score",
@@ -169,12 +209,38 @@ class TestValueTypes:
             "report-k-values-none",
             "report-records-none",
             "report-record-none",
+            "assignment-fractional-index",
+            "assignment-indices-none",
+            "verdict-status-none",
+            "verdict-status-text",
+            "verdict-text-sensitivity",
+            "document-payload-none",
+            "document-provenance-none",
         ],
     )
     def test_rejects_values_that_would_be_coerced(self, build):
         with pytest.raises(InvariantViolationError) as excinfo:
             build()
         assert excinfo.value.code == "invariant-violation"
+
+    def test_every_public_dataclass_has_an_example(self):
+        assert set(public_dataclass_examples()) == set(PUBLIC_DATACLASSES)
+
+    @pytest.mark.parametrize("cls", PUBLIC_DATACLASSES, ids=lambda cls: cls.__name__)
+    def test_a_wrongly_typed_field_is_refused_as_a_domain_error(self, cls):
+        """Any one field set to ``None``, text, a float or a bare object
+        either constructs or raises a :class:`ScaleSenseError`."""
+        example = public_dataclass_examples()[cls]
+        escaped = []
+        for field in fields(cls):
+            for value in (None, "x", 1.5, object()):
+                try:
+                    replace(example, **{field.name: value})
+                except ScaleSenseError:
+                    pass
+                except Exception as exc:
+                    escaped.append(f"{field.name}={value!r}: {type(exc).__name__}: {exc}")
+        assert escaped == []
 
     def test_list_parts_are_accepted_as_tuples(self):
         analysis, report = small_analysis(), small_sweep()

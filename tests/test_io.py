@@ -524,6 +524,16 @@ class TestReports:
         with pytest.raises(SchemaError):
             write_report(document, tmp_path / "r.csv", "flat-csv")
 
+    @pytest.mark.parametrize(
+        "document", [None, "report", Provenance(seed=1, tool_version="0.1.0")],
+        ids=["none", "text", "provenance"],
+    )
+    def test_only_report_documents_are_written(self, tmp_path, document):
+        path = tmp_path / "r.json"
+        with pytest.raises(SchemaError):
+            write_report(document, path)
+        assert not path.exists()
+
     def test_unknown_format_is_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
             write_report(sweep_document(), tmp_path / "r.xml", "xml")
