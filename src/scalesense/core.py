@@ -108,6 +108,23 @@ def require_types(owner, **kinds) -> None:
             raise InvariantViolationError(f"{name} has unexpected type {type(value).__name__}")
 
 
+def _vector(values, kinds: str, name: str) -> np.ndarray:
+    """Copy ``values`` into a new 1-D array of a dtype kind in ``kinds`` (any
+    when empty), or raise :class:`InvariantViolationError`, also for bools in a
+    list that numpy would promote to numbers (ndarrays skip that element scan)."""
+    try:
+        array = np.array(values, copy=True)
+    except (TypeError, ValueError, OverflowError):  # ragged or unconvertible
+        array = None
+    if (
+        array is None or array.ndim != 1 or (array.size and array.dtype.kind not in kinds)
+        or (not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, values)))
+    ):
+        noun = "real numbers" if "f" in kinds else "integers"
+        raise InvariantViolationError(f"{name} must be a 1-D sequence of {noun}, not bools")
+    return array
+
+
 class Outcome(IntEnum):
     """Binary reference standard: 1 = condition present, 0 = absent."""
 
@@ -134,29 +151,10 @@ class Cohort:
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            scores = np.array(self.scores, copy=True)
-            outcomes = np.array(self.outcomes, copy=True)
-        except (TypeError, ValueError, OverflowError):
-            raise InvariantViolationError(
-                "cohort scores and outcomes must be numeric"
-            ) from None
-        if scores.ndim != 1 or outcomes.ndim != 1:
-            raise InvariantViolationError("cohort arrays must be one-dimensional")
+        scores = _vector(self.scores, "iuf", "cohort scores").astype(np.float64, copy=False)
+        outcomes = _vector(self.outcomes, "iu", "cohort outcomes").astype(np.int64, copy=False)
         if scores.shape[0] != outcomes.shape[0]:
-            raise AlignmentError(
-                f"{scores.shape[0]} scores vs {outcomes.shape[0]} outcomes"
-            )
-        if scores.size and (scores.dtype.kind not in "iuf" or outcomes.dtype.kind not in "iu"):
-            raise InvariantViolationError(
-                f"cohort needs real scores and integer outcomes, got {scores.dtype}"
-                f" and {outcomes.dtype}"
-            )
-        for raw in (self.scores, self.outcomes):
-            if not isinstance(raw, np.ndarray) and {bool, np.bool_} & set(map(type, raw)):
-                raise InvariantViolationError("cohort scores and outcomes must not be bools")
-        scores = scores.astype(np.float64, copy=False)
-        outcomes = outcomes.astype(np.int64, copy=False)
+            raise AlignmentError(f"{scores.shape[0]} scores vs {outcomes.shape[0]} outcomes")
         if not np.all(np.isfinite(scores)):
             raise InvariantViolationError("all scores must be finite")
         if outcomes.size and (outcomes.min() < 0 or outcomes.max() > 1):
@@ -212,13 +210,7 @@ class ScaleAssignment:
 
     def __post_init__(self) -> None:
         k = strict_int(self.k, "class count", InvariantViolationError, minimum=1)
-        try:
-            idx = np.array(self.class_indices, copy=True)
-        except (TypeError, ValueError):  # ragged nesting
-            raise InvariantViolationError("class indices must be a 1-D integer sequence") from None
-        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-            raise InvariantViolationError("class indices must be a 1-D integer sequence")
-        idx = idx.astype(np.int64, copy=False)
+        idx = _vector(self.class_indices, "iu", "class indices").astype(np.int64, copy=False)
         if idx.size and (idx.min() < 1 or idx.max() > k):
             raise InvariantViolationError(f"class indices must lie in 1..{k}")
         idx.setflags(write=False)

@@ -1,15 +1,15 @@
 """Synthetic two-group cohorts and the Monte Carlo partition sweep.
 
 Scores are Gaussian within each outcome group, with the diseased mean above
-the healthy mean.  The sweep repeatedly regenerates a cohort, discretizes it
-at each requested class count, and records the criterion-optimal operating
-point, so the effect of partition granularity on the chosen cut can be
-studied empirically.
+the healthy mean.  The sweep draws one cohort per replication, counts its
+subjects per class at each requested class count, and records the
+criterion-optimal operating point, so the effect of partition granularity on
+the chosen cut can be studied empirically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .core import (
     _best_threshold,
     _class_ranks,
     _edge_counts,
-    _require_both_groups,
     _sort_block,
     # Unused here, but bench/tracing.py wraps these three by name in this module.
     discretize,
@@ -129,15 +128,29 @@ class ExperimentReport:
             records=(tuple, list),
         )
         reps = strict_int(self.reps, "replications", EmptyExperimentError, minimum=1)
-        k_values = tuple(
-            strict_int(k, "class count", InvalidClassCountError, minimum=2, maximum=self.spec.n)
-            for k in self.k_values
-        )
+        k_values = _class_ladder(self.k_values, self.spec.n)
         if tuple(r.k if isinstance(r, SweepRecord) else None for r in self.records) != k_values:
             raise InvariantViolationError("need one SweepRecord per k value, in order")
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "k_values", k_values)
         object.__setattr__(self, "records", tuple(self.records))
+
+
+def _class_ladder(k_values, n: int) -> tuple[int, ...]:
+    if not np.iterable(k_values):
+        raise InvalidClassCountError(f"class counts must be a sequence, got {k_values!r}")
+    ks = tuple(
+        strict_int(k, "class count", InvalidClassCountError, minimum=2, maximum=n)
+        for k in k_values
+    )
+    if not ks:
+        raise EmptyExperimentError("need at least one class count to sweep")
+    return ks
+
+
+def _require_spec(spec) -> None:
+    if not isinstance(spec, CohortSpec):
+        raise SpecValidationError(f"need a CohortSpec, got {type(spec).__name__}")
 
 
 def replication_seed(master_seed: int, replication: int) -> int:
@@ -146,16 +159,27 @@ def replication_seed(master_seed: int, replication: int) -> int:
     Children are split off counter-style, so any replication's seed can be
     recomputed without generating its predecessors.
     """
+    master_seed = strict_int(
+        master_seed, "seed", SpecValidationError, minimum=0, maximum=_SEED_BOUND - 1
+    )
+    replication = strict_int(replication, "replication", SpecValidationError, minimum=0)
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(replication,))
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _draw(spec: CohortSpec, seed: int, scores: np.ndarray, outcomes: np.ndarray) -> None:
+    """Draw one cohort of ``spec`` from ``seed`` into ``scores`` and ``outcomes``, unchecked."""
+    rng = np.random.default_rng(seed)
+    outcomes[:] = rng.random(spec.n) < spec.prevalence
+    means = np.where(outcomes == 1, spec.mu_diseased, spec.mu_healthy)
+    scores[:] = rng.standard_normal(spec.n) * spec.sigma + means
+
+
 def generate_cohort(spec: CohortSpec) -> Cohort:
     """Draw one cohort; identical specs give bit-identical cohorts."""
-    rng = np.random.default_rng(spec.seed)
-    outcomes = (rng.random(spec.n) < spec.prevalence).astype(np.int64)
-    means = np.where(outcomes == 1, spec.mu_diseased, spec.mu_healthy)
-    scores = rng.standard_normal(spec.n) * spec.sigma + means
+    _require_spec(spec)
+    scores, outcomes = np.empty(spec.n), np.empty(spec.n, dtype=np.int64)
+    _draw(spec, spec.seed, scores, outcomes)
     return Cohort(scores=scores, outcomes=outcomes)
 
 
@@ -175,17 +199,15 @@ def run_partition_sweep(
     specificity, and threshold: the kernel that
     :func:`~scalesense.core.analyze_cohort` runs on a block of one row.
     Means and standard deviations (population form, so one replication gives
-    sd 0) are aggregated per ``k``.  The first draw that leaves one outcome
-    group empty fails with a degenerate-cohort error naming the replication
-    and its child seed.
+    sd 0) are aggregated per ``k``.  Arguments are checked once, and the
+    drawn rows once per block: the first replication whose scores overflow
+    fails with an invariant violation, and the first that leaves one outcome
+    group empty with a degenerate-cohort error naming the replication and
+    its child seed.
     """
+    _require_spec(spec)
     reps = strict_int(reps, "replications", EmptyExperimentError, minimum=1)
-    ks = tuple(
-        strict_int(k, "class count", InvalidClassCountError, minimum=2, maximum=spec.n)
-        for k in k_values
-    )
-    if not ks:
-        raise EmptyExperimentError("need at least one class count to sweep")
+    ks = _class_ladder(k_values, spec.n)
 
     n = spec.n
     se, sp, cc = (np.empty((reps, len(ks))) for _ in range(3))
@@ -197,17 +219,18 @@ def run_partition_sweep(
         rows = slice(start, min(start + block, reps))
         size = rows.stop - start
         for i in range(size):
-            child = replace(spec, seed=replication_seed(spec.seed, start + i))
-            cohort = generate_cohort(child)
-            try:
-                _require_both_groups(n1 := cohort.n_diseased, n - n1)
-            except DegenerateCohortError as exc:
-                raise DegenerateCohortError(
-                    f"replication {start + i} (child seed {child.seed}): {exc}"
-                ) from exc
-            scores[i], outcomes[i] = cohort.scores, cohort.outcomes
+            _draw(spec, replication_seed(spec.seed, start + i), scores[i], outcomes[i])
+        finite = np.isfinite(scores[:size]).all(axis=1)
         _sort_block(scores[:size], outcomes[:size], cum1[:size], run_end[:size])
         n1 = cum1[:size, -1:]
+        if not (ok := finite & (n1[:, 0] > 0) & (n1[:, 0] < n)).all():
+            i = int(np.argmin(ok))
+            if not finite[i]:
+                raise InvariantViolationError("all scores must be finite")
+            raise DegenerateCohortError(
+                f"replication {start + i} (child seed {replication_seed(spec.seed, start + i)}):"
+                f" both outcome groups must be non-empty (n1={n1[i, 0]}, n0={n - n1[i, 0]})"
+            )
         for j, ranks in enumerate(class_ranks):
             counts1, counts0 = _edge_counts(cum1[:size], run_end[:size, ranks])
             cc[rows, j], se[rows, j], sp[rows, j], _ = _best_threshold(

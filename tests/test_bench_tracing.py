@@ -62,7 +62,7 @@ def test_traced_jobs_run_and_match_untraced_bytes(tmp_path, capsys, tracing, res
     assert calls["cli.run"] == 3
     assert calls["simulate.run_partition_sweep"] == 1
     assert calls["simulate.replication_seed"] == 3
-    assert calls["simulate.generate_cohort"] == 4
+    assert calls["simulate.generate_cohort"] == 1
     assert calls["io.write_cohort"] == 1
     assert calls["io.load_cohort"] == 1
     assert calls["core.analyze_cohort"] == 1

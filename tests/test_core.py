@@ -174,6 +174,7 @@ class TestValueTypes:
             lambda: replace(small_sweep(), records=(None, None)),
             lambda: ScaleAssignment(k=2, class_indices=[1.7, 2]),
             lambda: ScaleAssignment(k=2, class_indices=None),
+            lambda: ScaleAssignment(k=2, class_indices=[True, 2]),
             lambda: MonotonicityVerdict(status=None, se_base="x", se_refined=None),
             lambda: MonotonicityVerdict(status="holds", se_base=1.0, se_refined=1.0),
             lambda: MonotonicityVerdict(status=VerdictStatus.HOLDS, se_base="x", se_refined=1.0),
@@ -211,6 +212,7 @@ class TestValueTypes:
             "report-record-none",
             "assignment-fractional-index",
             "assignment-indices-none",
+            "assignment-bool-mixed-into-indices",
             "verdict-status-none",
             "verdict-status-text",
             "verdict-text-sensitivity",

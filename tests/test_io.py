@@ -422,6 +422,12 @@ MALFORMED_REPORTS = [
     (sweep_document, ("payload", "spec", "n"), 3, "invalid-class-count"),
     (sweep_document, ("payload", "k_values", 0), 500, "invalid-class-count"),
     (sweep_document, ("payload", "records", 1, "mean_c"), 9.0, "invariant-violation"),
+    # An empty class ladder, which no sweep writes.
+    (sweep_document, ("payload",),
+     {"kind": "partition_sweep", "spec": {"n": 120, "prevalence": 0.3, "mu_healthy": 0.0,
+      "mu_diseased": 1.0, "sigma": 1.0, "seed": 5}, "criterion": "youden", "reps": 3,
+      "k_values": [], "records": []},
+     "empty-experiment"),
     # k=4: a partition, pmf, ROC list or threshold that disagrees with it.
     (analysis_document, ("payload", "partition"), {"k": 2, "boundaries": [0.0]},
      "invariant-violation"),

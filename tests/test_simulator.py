@@ -10,6 +10,7 @@ from scalesense import (
     DegenerateCohortError,
     EmptyExperimentError,
     InvalidClassCountError,
+    InvariantViolationError,
     ScaleSenseError,
     SpecValidationError,
     ThresholdCriterion,
@@ -126,6 +127,34 @@ class TestReplicationSeeds:
         assert replication_seed(1, 0) != replication_seed(2, 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: generate_cohort(None),
+        lambda: run_partition_sweep(None),
+        lambda: run_partition_sweep({"n": 10}, k_values=(2,), reps=1),
+        lambda: replication_seed("x", 0),
+        lambda: replication_seed(1.5, 0),
+        lambda: replication_seed(-1, 0),
+        lambda: replication_seed(2**64, 0),
+        lambda: replication_seed(None, 0),
+        lambda: replication_seed(0, "x"),
+        lambda: replication_seed(0, 1.5),
+        lambda: replication_seed(0, -1),
+        lambda: replication_seed(0, True),
+    ],
+    ids=[
+        "cohort-spec-none", "sweep-spec-none", "sweep-spec-dict", "seed-text", "seed-float",
+        "seed-negative", "seed-too-large", "seed-none", "replication-text",
+        "replication-float", "replication-negative", "replication-bool",
+    ],
+)
+def test_simulate_entry_points_refuse_wrong_arguments(call):
+    with pytest.raises(ScaleSenseError) as excinfo:
+        call()
+    assert excinfo.value.code == "spec-validation-error"
+
+
 class TestPartitionSweep:
     def test_single_replication_has_zero_spread(self):
         report = run_partition_sweep(spec(), k_values=(2,), reps=1)
@@ -174,6 +203,8 @@ class TestPartitionSweep:
             ({"reps": 2.5}, "empty-experiment"),
             ({"reps": True}, "empty-experiment"),
             ({"k_values": (2.5,)}, "invalid-class-count"),
+            ({"k_values": None}, "invalid-class-count"),
+            ({"k_values": 2}, "invalid-class-count"),
         ],
     )
     def test_rejects_non_integer_arguments(self, overrides, code):
@@ -267,6 +298,36 @@ class TestPartitionSweep:
         message = str(excinfo.value)
         assert f"replication {first} " in message
         assert f"child seed {replication_seed(tiny.seed, first)}" in message
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_scores_are_an_invariant_violation(self):
+        # sigma * z overflows once |z| > 1.8; seed 42's first draw has no such z.
+        wide = spec(n=50, sigma=1e308, seed=0)
+        for draw in (lambda: generate_cohort(wide), lambda: run_partition_sweep(wide, (2,), 3)):
+            with pytest.raises(InvariantViolationError, match="all scores must be finite"):
+                draw()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_first_faulty_draw_wins_and_overflow_is_checked_first(self, monkeypatch, seed):
+        # Tiny cohorts whose scores often overflow and whose diseased group is
+        # often empty.  In blocks of 16 rows, the first fault of these seeds is
+        # at replication 0 (both faults), 1 (empty group) or 3 (both), and a
+        # later replication of the same block is faulty too.
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * 16)
+        base = spec(n=3, prevalence=0.2, sigma=1e308, seed=seed)
+
+        def fault(r):
+            try:
+                cohort = generate_cohort(replace(base, seed=replication_seed(seed, r)))
+            except InvariantViolationError:
+                return "invariant-violation"
+            return "degenerate-cohort" if cohort.n_diseased in (0, 3) else None
+
+        expected = next(code for r in range(32) if (code := fault(r)))
+        with pytest.raises(ScaleSenseError) as excinfo:
+            run_partition_sweep(base, k_values=(2,), reps=32)
+        assert excinfo.value.code == expected
 
     def test_peak_memory_is_bounded_at_large_n(self):
         # A block holds at most about _BLOCK_CELLS subjects, so a cohort this
