@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
@@ -45,6 +47,7 @@ FLAT_CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
 
 _KEYS = {"roc": "roc_points"}  # JSON keys other than their field's name
 _KINDS = {ExperimentReport: "partition_sweep", ScaleAnalysis: "scale_analysis"}  # payload tags
+_OUTCOMES = {"0": 0, "1": 1}  # outcome cells, once stripped
 
 
 @dataclass(frozen=True)
@@ -96,29 +99,37 @@ class ReportDocument:
         require_types(self, schema_version=str, provenance=Provenance, payload=tuple(_KINDS))
 
 
+def _path(path) -> Path:
+    """``path`` as a :class:`Path`; a value that cannot name a file is an io-error."""
+    name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if not isinstance(name, str) or "\0" in name:
+        raise FileIOError(f"need a file path, got {path!r}")
+    return Path(name)
+
+
 def load_cohort(
     path: Union[str, Path], schema: Optional[CohortFileSchema] = None
 ) -> Cohort:
     """Read a cohort CSV, validating every row.
 
-    Rows with an unparseable or non-finite score, or an outcome other than
-    0/1, fail with a parse error naming the 1-based data row, as do bytes
-    that are not UTF-8 and CSV the reader rejects (such as a field over the
-    ``csv`` module's size limit).  A missing column fails with a schema
-    error; a file with no data rows fails with empty-input.  The file is
-    read in one pass, so of several faults the first in reading order wins:
-    a missing column beats a later over-long field or undecodable byte.
+    Rows whose fields are all whitespace are skipped and do not count in row
+    numbers.  Rows with an unparseable or non-finite score, or an outcome
+    other than 0/1, fail with a parse error naming the 1-based data row, as
+    do bytes that are not UTF-8 and CSV the reader rejects (such as a field
+    over the ``csv`` module's size limit).  A missing column fails with a
+    schema error; a file with no data rows fails with empty-input.  The file
+    is read in one pass, so of several faults the first in reading order
+    wins: a missing column beats a later over-long field or undecodable byte.
     """
     schema = schema or CohortFileSchema()
-    path = Path(path)
+    path = _path(path)
     scores, outcomes = [], []
     try:
         with path.open(encoding="utf-8") as handle:
             reader = csv.reader(handle, delimiter=schema.delimiter)
-            rows = (row for row in reader if any(field.strip() for field in row))
             score_idx, outcome_idx = 0, 1
             if schema.has_header:
-                header = [h.strip() for h in next(rows, ())]
+                header = [h.strip() for h in next(filter(_filled, reader), ())]
                 if not header:
                     raise EmptyInputError(f"{path} has no rows")
                 for column in (schema.score_column, schema.outcome_column):
@@ -126,28 +137,18 @@ def load_cohort(
                         raise SchemaError(f"missing column '{column}' in {path}")
                 score_idx = header.index(schema.score_column)
                 outcome_idx = header.index(schema.outcome_column)
-            needed = max(score_idx, outcome_idx) + 1
-            for rownum, row in enumerate(rows, start=1):
-                if len(row) < needed:
-                    raise ParseError(
-                        f"row {rownum}: expected at least {needed} fields, got {len(row)}"
-                    )
-                raw_score = row[score_idx].strip()
-                try:
-                    score = float(raw_score)
-                except ValueError:
-                    raise ParseError(
-                        f"row {rownum}: score {raw_score!r} is not a number"
-                    ) from None
+            for row in reader:
+                try:  # float ignores the padding that strip removes
+                    score = float(row[score_idx])
+                    outcome = _OUTCOMES[row[outcome_idx].strip()]
+                except (IndexError, ValueError, KeyError):
+                    if not _filled(row):  # a blank row fails the parse above
+                        continue
+                    raise _row_fault(row, len(scores) + 1, score_idx, outcome_idx) from None
                 if not math.isfinite(score):
-                    raise ParseError(f"row {rownum}: score {raw_score!r} is not finite")
-                raw_outcome = row[outcome_idx].strip()
-                if raw_outcome not in ("0", "1"):
-                    raise ParseError(
-                        f"row {rownum}: outcome must be 0 or 1, got {raw_outcome!r}"
-                    )
+                    raise _row_fault(row, len(scores) + 1, score_idx, outcome_idx)
                 scores.append(score)
-                outcomes.append(int(raw_outcome))
+                outcomes.append(outcome)
     except OSError as exc:
         raise FileIOError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -159,6 +160,37 @@ def load_cohort(
     return Cohort(np.array(scores, dtype=np.float64), np.array(outcomes, dtype=np.int64))
 
 
+def _filled(row: list) -> bool:
+    """Whether a CSV row has a field that is not all whitespace."""
+    return bool("".join(row).strip())
+
+
+def _row_fault(row: list, rownum: int, score_idx: int, outcome_idx: int) -> ParseError:
+    """The error for a data row that failed to load: its first fault in field-count,
+    score-parse, finite-score, outcome order."""
+    needed = max(score_idx, outcome_idx) + 1
+    if len(row) < needed:
+        return ParseError(f"row {rownum}: expected at least {needed} fields, got {len(row)}")
+    raw_score = row[score_idx].strip()
+    try:
+        score = float(raw_score)
+    except ValueError:
+        return ParseError(f"row {rownum}: score {raw_score!r} is not a number")
+    if not math.isfinite(score):
+        return ParseError(f"row {rownum}: score {raw_score!r} is not finite")
+    return ParseError(f"row {rownum}: outcome must be 0 or 1, got {row[outcome_idx].strip()!r}")
+
+
+@contextmanager
+def _writing(path: Union[str, Path]):
+    """``path`` opened for UTF-8 text; an OSError opening or writing it is an io-error."""
+    try:
+        with _path(path).open("w", encoding="utf-8") as handle:
+            yield handle
+    except OSError as exc:
+        raise FileIOError(f"cannot write {path}: {exc}") from exc
+
+
 def write_cohort(
     cohort: Cohort, path: Union[str, Path], schema: Optional[CohortFileSchema] = None
 ) -> None:
@@ -167,21 +199,11 @@ def write_cohort(
     Scores are written with shortest round-trip precision.
     """
     schema = schema or CohortFileSchema()
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
-            if schema.has_header:
-                writer.writerow([schema.score_column, schema.outcome_column])
-            writer.writerows(zip(map(repr, cohort.scores.tolist()), cohort.outcomes.tolist()))
-    except OSError as exc:
-        raise FileIOError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_text(path: Union[str, Path], text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise FileIOError(f"cannot write {path}: {exc}") from exc
+    with _writing(path) as handle:
+        writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
+        if schema.has_header:
+            writer.writerow([schema.score_column, schema.outcome_column])
+        writer.writerows(zip(map(repr, cohort.scores.tolist()), cohort.outcomes.tolist()))
 
 
 def _fields(value) -> dict:
@@ -190,7 +212,7 @@ def _fields(value) -> dict:
 
 
 def _encode(value):
-    """``json.dumps`` hook: report values as the JSON their reader expects."""
+    """``json.dump`` hook: report values as the JSON their reader expects."""
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, ConditionalPMF):
@@ -213,14 +235,17 @@ def write_report(
     if not isinstance(document, ReportDocument):
         raise SchemaError(f"cannot write a {type(document).__name__} as a report")
     if fmt == "structured-json":
-        _write_text(path, json.dumps(document, indent=2, default=_encode) + "\n")
+        with _writing(path) as handle:
+            json.dump(document, handle, indent=2, default=_encode)
+            handle.write("\n")
     elif fmt == "flat-csv":
         if not isinstance(document.payload, ExperimentReport):
             raise SchemaError("flat-csv output is defined for sweep reports only")
         lines = [",".join(FLAT_CSV_HEADER)]
         for record in sorted(document.payload.records, key=lambda r: r.k):
             lines.append(",".join(_csv_cell(v) for v in _fields(record).values()))
-        _write_text(path, "\n".join(lines) + "\n")
+        with _writing(path) as handle:
+            handle.write("\n".join(lines) + "\n")
     else:
         raise SchemaError(f"unknown report format {fmt!r}")
 
@@ -305,7 +330,7 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
     Every value is checked by the constructor it is passed to, so a
     malformed report fails with a :class:`ScaleSenseError`.
     """
-    path = Path(path)
+    path = _path(path)
     try:
         body = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:

@@ -179,7 +179,8 @@ def generate_cohort(spec: CohortSpec) -> Cohort:
     """Draw one cohort; identical specs give bit-identical cohorts."""
     _require_spec(spec)
     scores, outcomes = np.empty(spec.n), np.empty(spec.n, dtype=np.int64)
-    _draw(spec, spec.seed, scores, outcomes)
+    with np.errstate(over="ignore"):  # Cohort refuses the overflowed scores
+        _draw(spec, spec.seed, scores, outcomes)
     return Cohort(scores=scores, outcomes=outcomes)
 
 
@@ -218,8 +219,9 @@ def run_partition_sweep(
     for start in range(0, reps, block):
         rows = slice(start, min(start + block, reps))
         size = rows.stop - start
-        for i in range(size):
-            _draw(spec, replication_seed(spec.seed, start + i), scores[i], outcomes[i])
+        with np.errstate(over="ignore"):  # the finite check below refuses overflowed scores
+            for i in range(size):
+                _draw(spec, replication_seed(spec.seed, start + i), scores[i], outcomes[i])
         finite = np.isfinite(scores[:size]).all(axis=1)
         _sort_block(scores[:size], outcomes[:size], cum1[:size], run_end[:size])
         n1 = cum1[:size, -1:]

@@ -2,6 +2,7 @@ import csv
 import io as _stdio
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +134,8 @@ def mostly_valid_files(draw):
     outcome check accept: ``1_0``, ``+2`` and a quoted ``"3"`` are scores,
     ``nan`` is not; `` 1`` is an outcome once stripped, ``1.0`` and ``01``
     are not.  Headers may pad their names or put the outcome column first.
+    Blank and whitespace-only rows may come before the header and between
+    data rows, so a fault's row number counts past the rows skipped.
     """
     score = st.floats(allow_nan=False, allow_infinity=False).map(repr)
     outcome = st.sampled_from(["0", "1"])
@@ -148,8 +151,11 @@ def mostly_valid_files(draw):
     )
     if has_header and header[0] == "outcome":
         rows = [row[::-1] for row in rows]
-    lines = [header] * has_header + rows
-    text = "".join(delimiter.join(line) + newline for line in lines)
+    lines = [delimiter.join(line) for line in [header] * has_header + rows]
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from(["", "  ", f" {delimiter} "]))
+        lines.insert(draw(st.integers(0, len(lines))), blank)
+    text = "".join(line + newline for line in lines)
     schema = CohortFileSchema(delimiter=delimiter, has_header=has_header)
     return text.encode("utf-8"), schema
 
@@ -649,3 +655,42 @@ class TestReports:
         path = tmp_path_factory.mktemp("rr") / "r.json"
         write_report(document, path)
         assert read_report(path) == document
+
+
+class BytesPath:
+    def __fspath__(self):
+        return b"cohort.csv"
+
+
+PATH_FUNCTIONS = {
+    "load_cohort": load_cohort,
+    "write_cohort": lambda path: write_cohort(Cohort(scores=[1.0, 2.0], outcomes=[0, 1]), path),
+    "write_report": lambda path: write_report(sweep_document(), path),
+    "read_report": read_report,
+}
+
+
+class TestPathArguments:
+    @pytest.mark.parametrize("function", PATH_FUNCTIONS)
+    @pytest.mark.parametrize(
+        "path",
+        [None, 1.5, object(), True, b"cohort.csv", BytesPath(), "cohort\0.csv"],
+        ids=["none", "float", "object", "bool", "bytes", "bytes-pathlike", "null-byte"],
+    )
+    def test_non_paths_are_io_errors(self, function, path):
+        with pytest.raises(FileIOError) as excinfo:
+            PATH_FUNCTIONS[function](path)
+        assert excinfo.value.code == "io-error"
+
+    @pytest.mark.parametrize("function", PATH_FUNCTIONS)
+    def test_a_file_descriptor_is_left_open_and_unwritten(self, tmp_path, function):
+        target = tmp_path / "fd.txt"
+        fd = os.open(target, os.O_RDWR | os.O_CREAT)
+        try:
+            with pytest.raises(FileIOError):
+                PATH_FUNCTIONS[function](fd)
+            os.fstat(fd)  # raises OSError if the call closed it
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0
+        finally:
+            os.close(fd)
+        assert target.read_bytes() == b""
