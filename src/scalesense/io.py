@@ -5,6 +5,9 @@ round-trip repr, fixed key order, so identical inputs give byte-identical
 files) or as a flat CSV of sweep records for spreadsheet use (12 significant
 digits).  Provenance carries no wall-clock data unless a timestamp is passed
 explicitly, keeping outputs reproducible by default.
+
+Cohort rows and runs of report floats are joined in bulk into the bytes
+``csv.writer`` and ``json.dump(..., indent=2)`` would write value by value.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import csv
 import json
 import math
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
@@ -48,6 +52,7 @@ FLAT_CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
 _KEYS = {"roc": "roc_points"}  # JSON keys other than their field's name
 _KINDS = {ExperimentReport: "partition_sweep", ScaleAnalysis: "scale_analysis"}  # payload tags
 _OUTCOMES = {"0": 0, "1": 1}  # outcome cells, once stripped
+_SLICE = 4096  # report list items formatted per write, which bounds the text held at once
 
 
 @dataclass(frozen=True)
@@ -68,8 +73,10 @@ class CohortFileSchema:
                 )
         if self.score_column == self.outcome_column:
             raise InvariantViolationError("column names must be distinct")
-        if len(self.delimiter) != 1 or self.delimiter in "\r\n":
-            raise InvariantViolationError("delimiter must be one non-newline character")
+        if len(self.delimiter) != 1 or self.delimiter in '\r\n"0123456789.+-e':  # see write_cohort
+            raise InvariantViolationError(
+                "delimiter must be one character that is no line break, quote or part of a number"
+            )
 
 
 @dataclass(frozen=True)
@@ -121,9 +128,9 @@ def load_cohort(
     is read in one pass, so of several faults the first in reading order
     wins: a missing column beats a later over-long field or undecodable byte.
     """
-    schema = schema or CohortFileSchema()
+    schema = CohortFileSchema() if schema is None else _checked(schema, CohortFileSchema)
     path = _path(path)
-    scores, outcomes = [], []
+    scores, outcomes = array("d"), array("b")  # no float object kept per row
     try:
         with path.open(encoding="utf-8") as handle:
             reader = csv.reader(handle, delimiter=schema.delimiter)
@@ -158,6 +165,13 @@ def load_cohort(
     if not scores:
         raise EmptyInputError(f"{path} has no data rows")
     return Cohort(np.array(scores, dtype=np.float64), np.array(outcomes, dtype=np.int64))
+
+
+def _checked(value, kind: type):
+    """``value``, checked at an API entry: anything but a ``kind`` is a schema-error."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"need a {kind.__name__}, got a {type(value).__name__}")
+    return value
 
 
 def _filled(row: list) -> bool:
@@ -196,14 +210,18 @@ def write_cohort(
 ) -> None:
     """Write a cohort CSV that :func:`load_cohort` reads back exactly.
 
-    Scores are written with shortest round-trip precision.
+    Scores are written with shortest round-trip precision.  Rows are joined
+    without ``csv.writer``, as no allowed delimiter needs quoting in them.
     """
-    schema = schema or CohortFileSchema()
+    _checked(cohort, Cohort)
+    schema = CohortFileSchema() if schema is None else _checked(schema, CohortFileSchema)
     with _writing(path) as handle:
         writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
         if schema.has_header:
             writer.writerow([schema.score_column, schema.outcome_column])
-        writer.writerows(zip(map(repr, cohort.scores.tolist()), cohort.outcomes.tolist()))
+        ends = (f"{schema.delimiter}0\n", f"{schema.delimiter}1\n")
+        rows = zip(map(float.__repr__, cohort.scores.tolist()), cohort.outcomes.tolist())
+        handle.writelines(score + ends[outcome] for score, outcome in rows)
 
 
 def _fields(value) -> dict:
@@ -212,7 +230,7 @@ def _fields(value) -> dict:
 
 
 def _encode(value):
-    """``json.dump`` hook: report values as the JSON their reader expects."""
+    """Report values as the JSON their reader expects (the ``default`` hook of :func:`_dump`)."""
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, ConditionalPMF):
@@ -232,11 +250,10 @@ def write_report(
     is defined for sweep payloads only: one row per class count, ascending
     by ``k``, 12 significant digits.
     """
-    if not isinstance(document, ReportDocument):
-        raise SchemaError(f"cannot write a {type(document).__name__} as a report")
+    _checked(document, ReportDocument)
     if fmt == "structured-json":
         with _writing(path) as handle:
-            json.dump(document, handle, indent=2, default=_encode)
+            _dump(document, handle.write)
             handle.write("\n")
     elif fmt == "flat-csv":
         if not isinstance(document.payload, ExperimentReport):
@@ -248,6 +265,43 @@ def write_report(
             handle.write("\n".join(lines) + "\n")
     else:
         raise SchemaError(f"unknown report format {fmt!r}")
+
+
+def _dump(value, write, pad: str = "\n") -> None:
+    """Write ``value`` as ``json.dump(value, indent=2, default=_encode)`` does,
+    list items :data:`_SLICE` at a time through :func:`_joined`."""
+    inner = pad + "  "
+    if not isinstance(value, (str, int, float, list, tuple, dict, type(None))):
+        _dump(_encode(value), write, pad)
+    elif not value or not isinstance(value, (list, tuple, dict)):
+        write(json.dumps(value))
+    elif isinstance(value, dict):
+        head = "{"
+        for key, item in value.items():
+            write(f"{head}{inner}{json.dumps(key)}: ")
+            _dump(item, write, inner)
+            head = ","
+        write(pad + "}")
+    else:
+        head = "["
+        for start in range(0, len(value), _SLICE):
+            write(f"{head}{inner}{_joined(value[start : start + _SLICE], inner)}")
+            head = ","
+        write(pad + "]")
+
+
+def _joined(items, pad: str) -> str:
+    """``items`` as JSON list items at ``pad``: floats (finite, as constructors
+    check) and lists in one join, other items through ``json.dumps``."""
+    if all(isinstance(item, float) for item in items):
+        return f",{pad}".join(map(float.__repr__, items))
+    inner = pad + "  "
+    return f",{pad}".join(
+        f"[{inner}{_joined(item, inner)}{pad}]"
+        if isinstance(item, (list, tuple)) and item
+        else json.dumps(item, indent=2, default=_encode).replace("\n", pad)
+        for item in items
+    )
 
 
 def _csv_cell(value) -> str:

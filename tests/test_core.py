@@ -3,7 +3,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalesense
@@ -89,6 +89,38 @@ def tie_heavy_cohorts(draw, max_n=80, n=None):
     scores = draw(st.lists(st.integers(0, top), min_size=n, max_size=n))
     outcomes = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return Cohort(scores=np.array(scores, dtype=np.float64), outcomes=np.array(outcomes))
+
+
+@st.composite
+def ladder_cohorts(draw):
+    """Cohorts of 4 to 400 normal scores with both outcomes present, half of
+    them rounded to a few distinct values (heavy ties)."""
+    n = draw(st.integers(4, 400))
+    n1 = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    outcomes = rng.permutation(np.repeat([1, 0], [n1, n - n1]))
+    scores = rng.normal(size=n) + draw(st.floats(0.0, 3.0)) * outcomes
+    if draw(st.booleans()):
+        scores = np.round(scores * draw(st.sampled_from([0.5, 1.0, 2.0])))
+    return Cohort(scores=scores, outcomes=outcomes)
+
+
+# Class ladders in which each k divides the next: every cut rank of one
+# scale, ceil(j * n / k), is also a cut rank of the next, so each scale
+# refines the one before it.
+NESTED_LADDERS = ((2, 4, 8, 16, 32, 64), (3, 6, 12, 24, 48), (5, 10, 50, 100))
+
+
+def scaled_youden(cohort, analysis):
+    """The chosen cut's Youden J times ``n1 * n0``, counted exactly on the
+    cohort as ``above1 * n0 + below0 * n1 - n1 * n0``."""
+    c = analysis.summary.c
+    positive = cohort.scores > (analysis.partition.boundaries[c - 2] if c > 1 else -math.inf)
+    diseased = cohort.outcomes == 1
+    n1, n0 = int(diseased.sum()), int((~diseased).sum())
+    above1 = int((positive & diseased).sum())
+    below0 = int((~positive & ~diseased).sum())
+    return above1 * n0 + below0 * n1 - n1 * n0
 
 
 def small_analysis():
@@ -651,3 +683,22 @@ class TestAnalyzeCohort:
         assert len(analysis.roc) == 5
         again = select_threshold(analysis.pmf_diseased, analysis.pmf_healthy)
         assert analysis.summary == again
+
+    @given(
+        st.one_of(ladder_cohorts(), tie_heavy_cohorts(max_n=120)),
+        st.sampled_from(NESTED_LADDERS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_youden_j_does_not_fall_along_nested_ladders(self, cohort, ladder):
+        """The paper's refinement theorem where quantile scales satisfy it:
+        a nested scale's thresholds include the coarser scale's, so the
+        in-sample optimal J cannot fall."""
+        assume(0 < cohort.n_diseased < len(cohort))
+        ladder = [k for k in ladder if k <= len(cohort)]
+        js = [scaled_youden(cohort, analyze_cohort(cohort, k)) for k in ladder]
+        assert js == sorted(js), dict(zip(ladder, js))
+
+    def test_the_non_nested_step_from_2_to_3_classes_can_lower_j(self):
+        cohort = Cohort(scores=[0.0, 1.0, 2.0, 3.0, 4.0], outcomes=[0, 0, 0, 1, 0])
+        js = {k: scaled_youden(cohort, analyze_cohort(cohort, k)) for k in (2, 3, 4)}
+        assert js == {2: 3, 3: 2, 4: 3}

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io as _stdio
 import json
 import math
 import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,13 +16,18 @@ from scalesense import (
     Cohort,
     CohortFileSchema,
     CohortSpec,
+    ConditionalPMF,
+    DiagnosticSummary,
     EmptyInputError,
     ExperimentReport,
     FileIOError,
     InvariantViolationError,
+    Outcome,
     ParseError,
+    PartitionSpec,
     Provenance,
     ReportDocument,
+    ScaleAnalysis,
     ScaleSenseError,
     SchemaError,
     SweepRecord,
@@ -34,6 +41,7 @@ from scalesense import (
     write_cohort,
     write_report,
 )
+from scalesense import io as scalesense_io
 
 
 def write(tmp_path, text, name="cohort.csv"):
@@ -102,6 +110,23 @@ def reference_load_cohort(path, schema=None):
     return Cohort(np.array(scores, dtype=np.float64), np.array(outcomes, dtype=np.int64))
 
 
+def reference_write_cohort(cohort, path, schema=None):
+    """The ``csv.writer`` cohort writer that the joined rows replaced, kept
+    as the oracle for ``test_matches_the_reference_writer``."""
+    schema = schema or CohortFileSchema()
+    with Path(path).open("w", encoding="utf-8") as handle:
+        writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
+        if schema.has_header:
+            writer.writerow([schema.score_column, schema.outcome_column])
+        writer.writerows(zip(map(repr, cohort.scores.tolist()), cohort.outcomes.tolist()))
+
+
+def reference_report_text(document):
+    """The ``json`` encoder's text of a report, which the report writer
+    replaced and must reproduce byte for byte."""
+    return json.dumps(document, indent=2, default=scalesense_io._encode) + "\n"
+
+
 def load_outcome(loader, path, schema=None):
     """What ``loader`` makes of ``path``: a cohort or a domain error."""
     try:
@@ -160,6 +185,18 @@ def mostly_valid_files(draw):
     return text.encode("utf-8"), schema
 
 
+# What a cohort row can hold besides its delimiter and newline: a quote, which
+# csv would escape, and the characters of a finite float's repr and of 0/1.
+ROW_CHARS = '"0123456789.+-e'
+
+SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5e-300, 1.7976931348623157e308)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
+UNIT_FLOATS = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0])
+# Text whose JSON needs escapes: quote, backslash, non-ASCII, a JSON-legal
+# line separator and control characters.
+TEXTS = st.text() | st.sampled_from(['"', "\\", "é", "\u2028", "\x00\x1f\x7f", 'a"\\é\u2028\n'])
+
+
 class TestCohortFileSchema:
     def test_rejects_identical_columns(self):
         with pytest.raises(InvariantViolationError):
@@ -176,8 +213,10 @@ class TestCohortFileSchema:
             {"delimiter": "\r"},
             {"score_column": " s"},
             {"outcome_column": "o "},
-        ],
-        ids=["newline-delimiter", "return-delimiter", "padded-score", "padded-outcome"],
+        ]
+        + [{"delimiter": char} for char in ROW_CHARS],
+        ids=["newline-delimiter", "return-delimiter", "padded-score", "padded-outcome"]
+        + [f"delimiter-{char}" for char in ROW_CHARS],
     )
     def test_rejects_layouts_that_would_not_read_back(self, fields):
         with pytest.raises(InvariantViolationError):
@@ -362,6 +401,27 @@ class TestWriteCohort:
         write_cohort(cohort, path, schema)
         assert load_cohort(path, schema).scores.tolist() == [1.0, 2.0]
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_writer(self, tmp_path_factory, data):
+        """Same bytes as ``csv.writer`` for every allowed delimiter kind, with
+        and without a header, and column names that ``csv`` must quote."""
+        delimiter = data.draw(st.sampled_from([",", ";", "|", "\t", " ", "é"]))
+        quoted = st.sampled_from([f"a{delimiter}b", 'say "x"', "x,y", "p\nq"])
+        plain = st.text(min_size=1).filter(lambda name: name == name.strip())
+        names = data.draw(st.lists(quoted | plain, min_size=2, max_size=2, unique=True))
+        schema = CohortFileSchema(*names, delimiter=delimiter, has_header=data.draw(st.booleans()))
+        rows = data.draw(st.lists(st.tuples(FLOATS, st.integers(0, 1)), max_size=30))
+        cohort = Cohort(
+            scores=np.array([score for score, _ in rows], dtype=np.float64),
+            outcomes=np.array([outcome for _, outcome in rows], dtype=np.int64),
+        )
+        folder = tmp_path_factory.mktemp("csv")
+        got, want = folder / "got.csv", folder / "want.csv"
+        write_cohort(cohort, got, schema)
+        reference_write_cohort(cohort, want, schema)
+        assert got.read_bytes() == want.read_bytes()
+
 
 def sweep_document():
     spec = CohortSpec(
@@ -481,7 +541,111 @@ JSON_REPLACEMENTS = st.one_of(
 )
 
 
+PROVENANCES = st.builds(
+    Provenance, seed=st.none() | st.integers(), tool_version=TEXTS, timestamp=st.none() | TEXTS
+)
+
+
+@st.composite
+def sweep_documents(draw):
+    """Sweep report documents of arbitrary finite floats and provenance text."""
+    n = draw(st.integers(2, 10**6))
+    mu_healthy, mu_diseased = sorted(draw(st.lists(FLOATS, min_size=2, max_size=2, unique=True)))
+    spec = CohortSpec(
+        n=n,
+        prevalence=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        mu_healthy=mu_healthy,
+        mu_diseased=mu_diseased,
+        sigma=draw(FLOATS.filter(lambda sigma: sigma > 0.0)),
+        seed=draw(st.integers(0, 2**63)),
+    )
+    k_values = draw(st.lists(st.integers(2, n), min_size=1, max_size=4))
+    records = tuple(
+        SweepRecord(
+            k=k,
+            mean_se=draw(UNIT_FLOATS),
+            sd_se=abs(draw(FLOATS)),
+            mean_sp=draw(UNIT_FLOATS),
+            sd_sp=abs(draw(FLOATS)),
+            mean_c=draw(st.floats(1.0, k)),
+        )
+        for k in k_values
+    )
+    payload = ExperimentReport(
+        spec=spec,
+        criterion=draw(st.sampled_from(ThresholdCriterion)),
+        reps=draw(st.integers(1, 10**6)),
+        k_values=tuple(k_values),
+        records=records,
+    )
+    return ReportDocument("1", draw(PROVENANCES), payload)
+
+
+@st.composite
+def analysis_documents(draw):
+    """Single-cohort report documents of arbitrary finite floats, ``k`` of 1 to 6."""
+    k = draw(st.integers(1, 6))
+    small = st.floats(0.0, 1.0 / k) | st.sampled_from([-0.0, 0.0, 5e-324, 1e-05])
+
+    def pmf(outcome):
+        head = draw(st.lists(small, min_size=k - 1, max_size=k - 1))
+        probs = tuple(head) + (1.0 - math.fsum(head),)
+        return ConditionalPMF(probs=probs, conditioning_outcome=outcome)
+
+    boundaries = sorted(draw(st.lists(FLOATS, min_size=k - 1, max_size=k - 1)))
+    payload = ScaleAnalysis(
+        criterion=draw(st.sampled_from(ThresholdCriterion)),
+        partition=PartitionSpec(k=k, boundaries=boundaries),
+        pmf_diseased=pmf(Outcome.DISEASED),
+        pmf_healthy=pmf(Outcome.HEALTHY),
+        roc=tuple(draw(st.lists(st.tuples(FLOATS, FLOATS), min_size=k + 1, max_size=k + 1))),
+        summary=DiagnosticSummary(
+            c=draw(st.integers(1, k)),
+            se=draw(UNIT_FLOATS),
+            sp=draw(UNIT_FLOATS),
+            criterion_value=draw(FLOATS),
+        ),
+    )
+    return ReportDocument("1", draw(PROVENANCES), payload)
+
+
+# sha256 of write_report's bytes for sweep_document() and analysis_document()
+REPORT_SHA256 = {
+    "sweep": "263fb37bd3358356c4bda7ce17b3dd97910fd8e0b3827e77b62282acd66ecbf9",
+    "analysis": "5760a4c07df7e21b44dc522b4594d39b538acc5ea7e3b6991f80c17293c9e09c",
+}
+
+
 class TestReports:
+    @given(st.one_of(sweep_documents(), analysis_documents()), st.sampled_from([1, 2, 3, 4096]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_json_encoder(self, tmp_path_factory, document, slice_items):
+        """Byte for byte the text of ``json.dump(..., indent=2)``, however the
+        report's lists fall into slices."""
+        path = tmp_path_factory.mktemp("json") / "r.json"
+        with mock.patch.object(scalesense_io, "_SLICE", slice_items):
+            write_report(document, path)
+        assert path.read_bytes() == reference_report_text(document).encode("utf-8")
+
+    def test_lists_longer_than_a_slice_match_the_json_encoder(self, tmp_path):
+        rng = np.random.default_rng(3)
+        cohort = Cohort(scores=rng.normal(size=20_000), outcomes=rng.integers(0, 2, 20_000))
+        k = 2 * scalesense_io._SLICE + 3
+        document = ReportDocument(
+            "1", Provenance(seed=3, tool_version="0.1.0"), analyze_cohort(cohort, k)
+        )
+        path = tmp_path / "r.json"
+        write_report(document, path)
+        assert path.read_text(encoding="utf-8") == reference_report_text(document)
+
+    @pytest.mark.parametrize("kind", sorted(REPORT_SHA256))
+    def test_report_bytes_are_pinned(self, tmp_path, kind):
+        document = {"sweep": sweep_document, "analysis": analysis_document}[kind]()
+        path = tmp_path / "r.json"
+        write_report(document, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_SHA256[kind]
+        assert path.read_text(encoding="utf-8") == reference_report_text(document)
+
     def test_json_round_trip_of_a_sweep(self, tmp_path):
         document = sweep_document()
         path = tmp_path / "r.json"
@@ -694,3 +858,36 @@ class TestPathArguments:
         finally:
             os.close(fd)
         assert target.read_bytes() == b""
+
+
+NOT_VALUES = [None, "x", 1.5, object(), 0, "", False, []]
+NOT_VALUE_IDS = ["none", "text", "float", "object", "zero", "empty-text", "false", "empty-list"]
+
+
+class TestValueArguments:
+    @pytest.mark.parametrize("cohort", NOT_VALUES, ids=NOT_VALUE_IDS)
+    def test_write_cohort_refuses_a_non_cohort(self, tmp_path, cohort):
+        path = tmp_path / "c.csv"
+        with pytest.raises(SchemaError) as excinfo:
+            write_cohort(cohort, path)
+        assert excinfo.value.code == "schema-error"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("function", ["load_cohort", "write_cohort"])
+    @pytest.mark.parametrize("schema", NOT_VALUES[1:], ids=NOT_VALUE_IDS[1:])
+    def test_a_non_schema_is_refused_not_defaulted(self, tmp_path, function, schema):
+        path = write(tmp_path, "score,outcome\n1.0,0\n2.0,1\n")
+        calls = {
+            "load_cohort": lambda: load_cohort(path, schema),
+            "write_cohort": lambda: write_cohort(Cohort(scores=[5.0], outcomes=[1]), path, schema),
+        }
+        with pytest.raises(SchemaError) as excinfo:
+            calls[function]()
+        assert excinfo.value.code == "schema-error"
+        assert path.read_text() == "score,outcome\n1.0,0\n2.0,1\n"
+
+    def test_a_schema_of_none_is_the_default(self, tmp_path):
+        path = tmp_path / "c.csv"
+        write_cohort(Cohort(scores=[1.0, 2.0], outcomes=[0, 1]), path, None)
+        assert path.read_text() == "score,outcome\n1.0,0\n2.0,1\n"
+        assert load_cohort(path, None).scores.tolist() == [1.0, 2.0]
