@@ -100,12 +100,18 @@ def finite_floats(values, name: str, error: type[ScaleSenseError]) -> np.ndarray
     return array
 
 
+def require_type(value, kind, name: str, error: type = InvariantViolationError):
+    """``value``, the argument or field ``name``, if it is an instance of the
+    type, or tuple of types, ``kind``; else raise ``error``."""
+    if not isinstance(value, kind):
+        raise error(f"{name} has unexpected type {type(value).__name__}")
+    return value
+
+
 def require_types(owner, **kinds) -> None:
-    """Raise :class:`InvariantViolationError` unless each named field of
-    ``owner`` holds an instance of the type, or tuple of types, given for it."""
+    """:func:`require_type` on each named field of ``owner``."""
     for name, kind in kinds.items():
-        if not isinstance(value := getattr(owner, name), kind):
-            raise InvariantViolationError(f"{name} has unexpected type {type(value).__name__}")
+        require_type(getattr(owner, name), kind, name)
 
 
 def _vector(values, kinds: str, name: str) -> np.ndarray:
@@ -345,12 +351,24 @@ def _head_sums(probs) -> np.ndarray:
 
 def _class_count(cohort: Cohort, k) -> int:
     """Validate ``k`` as a class count for ``cohort`` and return it."""
+    require_type(cohort, Cohort, "cohort")
     k = strict_int(k, "class count", InvalidClassCountError, minimum=1)
     if len(cohort) == 0:
         raise EmptyInputError("cannot discretize an empty cohort")
     if k > len(cohort):
         raise InsufficientSamplesError(f"k={k} exceeds cohort size n={len(cohort)}")
     return k
+
+
+def _pmf_classes(pmf_diseased, pmf_healthy) -> int:
+    """The class count of two pmfs, checked to be pmfs of the same count."""
+    require_type(pmf_diseased, ConditionalPMF, "pmf_diseased")
+    require_type(pmf_healthy, ConditionalPMF, "pmf_healthy")
+    if pmf_diseased.k != pmf_healthy.k:
+        raise DimensionMismatchError(
+            f"pmf class counts differ: {pmf_diseased.k} vs {pmf_healthy.k}"
+        )
+    return pmf_diseased.k
 
 
 def _class_ranks(n: int, k: int) -> np.ndarray:
@@ -496,10 +514,7 @@ def select_threshold(
     top-left ROC corner is minimized.  Exact criterion ties resolve to the
     smallest ``c``.
     """
-    if pmf_diseased.k != pmf_healthy.k:
-        raise DimensionMismatchError(
-            f"pmf class counts differ: {pmf_diseased.k} vs {pmf_healthy.k}"
-        )
+    _pmf_classes(pmf_diseased, pmf_healthy)
     c, se, sp, value = (
         x[0] for x in _best_threshold([pmf_diseased.probs], [pmf_healthy.probs], criterion)
     )
@@ -515,11 +530,7 @@ def roc_points(
     coordinates are non-increasing along the list.  These points suffice to
     re-derive :func:`select_threshold` for any criterion.
     """
-    if pmf_diseased.k != pmf_healthy.k:
-        raise DimensionMismatchError(
-            f"pmf class counts differ: {pmf_diseased.k} vs {pmf_healthy.k}"
-        )
-    k = pmf_diseased.k
+    k = _pmf_classes(pmf_diseased, pmf_healthy)
     se = _tail_sums(pmf_diseased.probs)
     sp = _head_sums(pmf_healthy.probs)
     return [(float(1.0 - sp[i]), float(se[i])) for i in range(k + 1)]

@@ -33,6 +33,7 @@ from .core import (
     PartitionSpec,
     ScaleAnalysis,
     ThresholdCriterion,
+    require_type,
     require_types,
     strict_int,
 )
@@ -52,7 +53,8 @@ FLAT_CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
 _KEYS = {"roc": "roc_points"}  # JSON keys other than their field's name
 _KINDS = {ExperimentReport: "partition_sweep", ScaleAnalysis: "scale_analysis"}  # payload tags
 _OUTCOMES = {"0": 0, "1": 1}  # outcome cells, once stripped
-_SLICE = 4096  # report list items formatted per write, which bounds the text held at once
+_SLICE = 4096  # cohort rows or report list items per write, which bounds the text held at once
+_READ = 65536  # characters per read of a plain cohort file
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,10 @@ class CohortFileSchema:
     def __post_init__(self) -> None:
         require_types(self, score_column=str, outcome_column=str, delimiter=str)
         for column in (self.score_column, self.outcome_column):
-            if not column or column != column.strip():  # load_cohort strips names
+            # load_cohort strips names and reads a "\r" as a line break
+            if not column or column != column.strip() or "\r" in column:
                 raise InvariantViolationError(
-                    f"column name {column!r} must be non-empty and unpadded"
+                    f"column name {column!r} must be non-empty, unpadded and free of \\r"
                 )
         if self.score_column == self.outcome_column:
             raise InvariantViolationError("column names must be distinct")
@@ -77,6 +80,10 @@ class CohortFileSchema:
             raise InvariantViolationError(
                 "delimiter must be one character that is no line break, quote or part of a number"
             )
+        try:  # a lone surrogate cannot be written to a UTF-8 file
+            (self.score_column + self.outcome_column + self.delimiter).encode("utf-8")
+        except UnicodeEncodeError:
+            raise InvariantViolationError("column names and delimiter must be UTF-8 text") from None
 
 
 @dataclass(frozen=True)
@@ -124,12 +131,20 @@ def load_cohort(
     other than 0/1, fail with a parse error naming the 1-based data row, as
     do bytes that are not UTF-8 and CSV the reader rejects (such as a field
     over the ``csv`` module's size limit).  A missing column fails with a
-    schema error; a file with no data rows fails with empty-input.  The file
-    is read in one pass, so of several faults the first in reading order
-    wins: a missing column beats a later over-long field or undecodable byte.
+    schema error; a file with no data rows fails with empty-input.  Of
+    several faults the first in reading order wins: a missing column beats
+    a later over-long field or undecodable byte.
+
+    A plain file, as :func:`write_cohort` writes, is parsed in bulk; any
+    other is read again from its start by the row loop, which alone reports
+    faults.
     """
-    schema = CohortFileSchema() if schema is None else _checked(schema, CohortFileSchema)
+    schema = CohortFileSchema() if schema is None else schema
+    require_type(schema, CohortFileSchema, "schema", SchemaError)
     path = _path(path)
+    plain = _load_plain(path, schema)
+    if plain is not None:
+        return plain
     scores, outcomes = array("d"), array("b")  # no float object kept per row
     try:
         with path.open(encoding="utf-8") as handle:
@@ -167,11 +182,48 @@ def load_cohort(
     return Cohort(np.array(scores, dtype=np.float64), np.array(outcomes, dtype=np.int64))
 
 
-def _checked(value, kind: type):
-    """``value``, checked at an API entry: anything but a ``kind`` is a schema-error."""
-    if not isinstance(value, kind):
-        raise SchemaError(f"need a {kind.__name__}, got a {type(value).__name__}")
-    return value
+def _load_plain(path: Path, schema: CohortFileSchema) -> Optional[Cohort]:
+    """The cohort in the regular file ``path`` if it is plain, else None: after
+    the exact header (if any), ASCII lines of at most ``csv.field_size_limit()``
+    characters, each a score ``float`` takes as finite (so no quote), the
+    delimiter, and 0 or 1.  ``csv.reader`` yields each as ``[score, outcome]``."""
+    delimiter = schema.delimiter
+    header = f"{schema.score_column}{delimiter}{schema.outcome_column}\n" * schema.has_header
+    # Not for names that csv.reader would split, unquote or refuse as too long,
+    # nor for a pipe, which the row loop could not read again.
+    if (
+        max(header.count(delimiter), header.count("\n")) > 1 or '"' in header
+        or len(header) > csv.field_size_limit() or not path.is_file()
+    ):
+        return None
+    # Each error caught below sends the file to the row loop.  ValueError: bytes that
+    # do not decode, non-ASCII text, a score float refuses, a file grown past ``rows``;
+    # MemoryError: more ``rows`` than can be reserved up front.
+    try:
+        with path.open(encoding="utf-8") as handle:
+            if handle.read(len(header)) != header:
+                return None
+            rows = os.fstat(handle.fileno()).st_size // 4  # at most, a plain line taking 4 bytes
+            scores, outcomes, count = np.empty(rows), np.empty(rows, dtype=np.int64), 0
+            while lines := handle.read(_READ) + handle.readline():  # whole lines only
+                raw = np.frombuffer(lines.encode("ascii"), dtype=np.uint8)
+                ends = np.flatnonzero(raw == ord("\n"))
+                labels = raw[ends - 1] - ord("0")  # wraps below "0", so > 1 unless 0 or 1
+                if (
+                    not lines.endswith("\n") or lines.count(delimiter) != ends.size
+                    or np.diff(ends, prepend=-1).max() > csv.field_size_limit()
+                    or labels.max() > 1 or not (raw[ends - 2] == ord(delimiter)).all()
+                ):
+                    return None
+                texts = lines.replace("\n", delimiter).split(delimiter)[:-1:2]
+                part = slice(count, count + ends.size)
+                scores[part] = list(map(float, texts))
+                if not np.isfinite(scores[part]).all():  # found before the next read
+                    return None
+                outcomes[part], count = labels, part.stop
+    except (OSError, ValueError, MemoryError):
+        return None
+    return Cohort(scores[:count], outcomes[:count]) if count else None
 
 
 def _filled(row: list) -> bool:
@@ -211,17 +263,23 @@ def write_cohort(
     """Write a cohort CSV that :func:`load_cohort` reads back exactly.
 
     Scores are written with shortest round-trip precision.  Rows are joined
-    without ``csv.writer``, as no allowed delimiter needs quoting in them.
+    without ``csv.writer``, as no allowed delimiter needs quoting in them,
+    :data:`_SLICE` at a time; the file is plain unless a name is quoted.
     """
-    _checked(cohort, Cohort)
-    schema = CohortFileSchema() if schema is None else _checked(schema, CohortFileSchema)
+    require_type(cohort, Cohort, "cohort", SchemaError)
+    schema = CohortFileSchema() if schema is None else schema
+    require_type(schema, CohortFileSchema, "schema", SchemaError)
     with _writing(path) as handle:
         writer = csv.writer(handle, delimiter=schema.delimiter, lineterminator="\n")
         if schema.has_header:
             writer.writerow([schema.score_column, schema.outcome_column])
         ends = (f"{schema.delimiter}0\n", f"{schema.delimiter}1\n")
-        rows = zip(map(float.__repr__, cohort.scores.tolist()), cohort.outcomes.tolist())
-        handle.writelines(score + ends[outcome] for score, outcome in rows)
+        for start in range(0, len(cohort), _SLICE):
+            scores = cohort.scores[start : start + _SLICE].tolist()
+            rows = [""] * (2 * len(scores))  # each score, then its delimiter, outcome and newline
+            rows[::2] = map(float.__repr__, scores)
+            rows[1::2] = map(ends.__getitem__, cohort.outcomes[start : start + _SLICE].tolist())
+            handle.write("".join(rows))
 
 
 def _fields(value) -> dict:
@@ -250,7 +308,7 @@ def write_report(
     is defined for sweep payloads only: one row per class count, ascending
     by ``k``, 12 significant digits.
     """
-    _checked(document, ReportDocument)
+    require_type(document, ReportDocument, "document", SchemaError)
     if fmt == "structured-json":
         with _writing(path) as handle:
             _dump(document, handle.write)
@@ -292,15 +350,18 @@ def _dump(value, write, pad: str = "\n") -> None:
 
 def _joined(items, pad: str) -> str:
     """``items`` as JSON list items at ``pad``: floats (finite, as constructors
-    check) and lists in one join, other items through ``json.dumps``."""
+    check) in one join, lists of as many floats each (ROC points) through one
+    ``%`` template, anything else through ``json.dumps``."""
     if all(isinstance(item, float) for item in items):
         return f",{pad}".join(map(float.__repr__, items))
-    inner = pad + "  "
+    if all(isinstance(item, (list, tuple)) for item in items) and len(set(map(len, items))) == 1:
+        values = [value for item in items for value in item]
+        if values and all(isinstance(value, float) for value in values):
+            inner = pad + "  "
+            point = f"[{inner}{f',{inner}'.join(['%s'] * len(items[0]))}{pad}]"
+            return f",{pad}".join([point] * len(items)) % tuple(map(float.__repr__, values))
     return f",{pad}".join(
-        f"[{inner}{_joined(item, inner)}{pad}]"
-        if isinstance(item, (list, tuple)) and item
-        else json.dumps(item, indent=2, default=_encode).replace("\n", pad)
-        for item in items
+        json.dumps(item, indent=2, default=_encode).replace("\n", pad) for item in items
     )
 
 

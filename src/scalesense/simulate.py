@@ -24,6 +24,7 @@ from .core import (
     discretize,
     estimate_conditional_pmfs,
     finite_float,
+    require_type,
     require_types,
     select_threshold,
     strict_int,
@@ -148,11 +149,6 @@ def _class_ladder(k_values, n: int) -> tuple[int, ...]:
     return ks
 
 
-def _require_spec(spec) -> None:
-    if not isinstance(spec, CohortSpec):
-        raise SpecValidationError(f"need a CohortSpec, got {type(spec).__name__}")
-
-
 def replication_seed(master_seed: int, replication: int) -> int:
     """Derive the child seed for one replication from the master seed.
 
@@ -177,7 +173,7 @@ def _draw(spec: CohortSpec, seed: int, scores: np.ndarray, outcomes: np.ndarray)
 
 def generate_cohort(spec: CohortSpec) -> Cohort:
     """Draw one cohort; identical specs give bit-identical cohorts."""
-    _require_spec(spec)
+    require_type(spec, CohortSpec, "spec", SpecValidationError)
     scores, outcomes = np.empty(spec.n), np.empty(spec.n, dtype=np.int64)
     with np.errstate(over="ignore"):  # Cohort refuses the overflowed scores
         _draw(spec, spec.seed, scores, outcomes)
@@ -206,7 +202,7 @@ def run_partition_sweep(
     group empty with a degenerate-cohort error naming the replication and
     its child seed.
     """
-    _require_spec(spec)
+    require_type(spec, CohortSpec, "spec", SpecValidationError)
     reps = strict_int(reps, "replications", EmptyExperimentError, minimum=1)
     ks = _class_ladder(k_values, spec.n)
 

@@ -702,3 +702,23 @@ class TestAnalyzeCohort:
         cohort = Cohort(scores=[0.0, 1.0, 2.0, 3.0, 4.0], outcomes=[0, 0, 0, 1, 0])
         js = {k: scaled_youden(cohort, analyze_cohort(cohort, k)) for k in (2, 3, 4)}
         assert js == {2: 3, 3: 2, 4: 3}
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda pmf: analyze_cohort(None, 2),
+            lambda pmf: discretize("x", 2),
+            lambda pmf: roc_points(None, pmf),
+            lambda pmf: roc_points(pmf, "x"),
+            lambda pmf: select_threshold(None, pmf),
+            lambda pmf: select_threshold(pmf, 1.5),
+        ],
+        ids=[
+            "analyze-none", "discretize-text", "roc-none", "roc-text", "select-none",
+            "select-float",
+        ],
+    )
+    def test_wrongly_typed_arguments_are_domain_errors(self, call):
+        with pytest.raises(InvariantViolationError) as excinfo:
+            call(small_analysis().pmf_diseased)
+        assert excinfo.value.code == "invariant-violation"

@@ -4,6 +4,7 @@ import io as _stdio
 import json
 import math
 import os
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -189,6 +190,17 @@ def mostly_valid_files(draw):
 # csv would escape, and the characters of a finite float's repr and of 0/1.
 ROW_CHARS = '"0123456789.+-e'
 
+# Delimiters of plain cohort files, which :func:`load_cohort` may parse in bulk;
+# faults to put in one of their rows (or their header); and score or column name
+# lengths around both the plain path's line limit and the csv module's field limit.
+PLAIN_DELIMITERS = [",", ";", "|", "\t", " "]
+ROW_FAULTS = [
+    "none", "unquoted-header", "nan", "infinite", "underscore", "blank-line", "quoted-score",
+    "padded-outcome", "bad-outcome", "crlf", "non-ascii", "extra-field",
+    "three-then-one-field", "short-line", "long-field",
+]
+LONG_FIELDS = [csv.field_size_limit() + offset for offset in (-3, -2, 0, 1)]
+
 SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5e-300, 1.7976931348623157e308)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
 UNIT_FLOATS = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0])
@@ -213,9 +225,15 @@ class TestCohortFileSchema:
             {"delimiter": "\r"},
             {"score_column": " s"},
             {"outcome_column": "o "},
+            {"score_column": "a\rb"},
+            {"delimiter": "\ud800"},
+            {"outcome_column": "o\udfff"},
         ]
         + [{"delimiter": char} for char in ROW_CHARS],
-        ids=["newline-delimiter", "return-delimiter", "padded-score", "padded-outcome"]
+        ids=[
+            "newline-delimiter", "return-delimiter", "padded-score", "padded-outcome",
+            "return-in-score", "surrogate-delimiter", "surrogate-in-outcome",
+        ]
         + [f"delimiter-{char}" for char in ROW_CHARS],
     )
     def test_rejects_layouts_that_would_not_read_back(self, fields):
@@ -336,6 +354,120 @@ class TestLoadCohort:
         if not any(fault in str(want) for fault in WHOLE_FILE_FAULTS):
             assert str(got) == str(want)
 
+    @pytest.mark.parametrize("read", [1, 7, 64, None], ids=lambda read: f"read-{read or 'default'}")
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_plain_path_matches_the_reference_loader_at_slice_boundaries(
+        self, tmp_path_factory, read, data
+    ):
+        """Written cohorts with one fault at a drawn row load as the reference
+        loads them, whatever the read size cuts the file into."""
+        delimiter = data.draw(st.sampled_from(PLAIN_DELIMITERS))
+        long = data.draw(st.sampled_from(LONG_FIELDS))
+        names = data.draw(st.sampled_from([
+            ("score", "outcome"), (f"s{delimiter}x", "o"), ('s"x', "o"), ("s\nx", "o"),
+            ("s" * long, "o"),
+        ]))
+        schema = CohortFileSchema(*names, delimiter=delimiter, has_header=data.draw(st.booleans()))
+        rows = data.draw(st.lists(st.tuples(FLOATS, st.integers(0, 1)), min_size=1, max_size=20))
+        path = tmp_path_factory.mktemp("plain") / "cohort.csv"
+        cohort = Cohort(scores=[s for s, _ in rows], outcomes=[o for _, o in rows])
+        write_cohort(cohort, path, schema)
+        lines = path.read_text().split("\n")
+        row = len(lines) - 1 - len(rows) + data.draw(st.integers(0, len(rows) - 1))
+        score, outcome = lines[row].rsplit(delimiter, 1)
+        long_score = "0" * (long - 1) + "1"
+        fault = data.draw(st.sampled_from(ROW_FAULTS))
+        if fault == "unquoted-header" and schema.has_header:
+            lines[: -len(rows) - 1] = [delimiter.join(names)]
+        lines[row] = {
+            "none": lines[row],
+            "unquoted-header": lines[row],
+            "nan": f"nan{delimiter}{outcome}",
+            "infinite": f"1e999{delimiter}{outcome}",
+            "underscore": f"1_0{delimiter}{outcome}",
+            "blank-line": f"\n{lines[row]}",
+            "quoted-score": f'"3"{delimiter}{outcome}',
+            "padded-outcome": f"{score}{delimiter} {outcome}",
+            "crlf": f"{lines[row]}\r",
+            "non-ascii": f"{score}\u00a0{delimiter}{outcome}",
+            "bad-outcome": f"{score}{delimiter}2",
+            "extra-field": f"{score}{delimiter}{outcome}{delimiter}{outcome}",
+            "three-then-one-field": f"{score}{delimiter}{outcome}{delimiter}{outcome}\n{outcome}",
+            "short-line": f"{lines[row]}\n0",
+            "long-field": f"{long_score}{delimiter}{outcome}",
+        }[fault]
+        text = "\n".join(lines)
+        path.write_text(text[:-1] if data.draw(st.booleans()) else text)  # maybe no last "\n"
+        with mock.patch.object(scalesense_io, "_READ", read or scalesense_io._READ):
+            got = load_outcome(load_cohort, path, schema)
+        want = load_outcome(reference_load_cohort, path, schema)
+        if isinstance(want, Cohort):
+            assert isinstance(got, Cohort), got
+            assert got.scores.tobytes() == want.scores.tobytes()
+            assert got.outcomes.tobytes() == want.outcomes.tobytes()
+        else:
+            assert isinstance(got, ScaleSenseError), got
+            assert (got.code, str(got)) == (want.code, str(want))
+
+    @pytest.mark.parametrize("length", LONG_FIELDS)
+    def test_a_column_name_near_the_csv_limit_loads_as_the_reference_loads_it(
+        self, tmp_path, length
+    ):
+        """The header is held to the csv field limit as the data lines are."""
+        schema = CohortFileSchema(score_column="s" * length)
+        path = tmp_path / "cohort.csv"
+        write_cohort(Cohort(scores=[1.5, 2.5], outcomes=[0, 1]), path, schema)
+        got = load_outcome(load_cohort, path, schema)
+        want = load_outcome(reference_load_cohort, path, schema)
+        assert type(got) is type(want)
+        if isinstance(want, Cohort):
+            assert got.scores.tolist() == want.scores.tolist() == [1.5, 2.5]
+        else:
+            assert (got.code, str(got)) == (want.code, str(want)) and want.code == "parse-error"
+
+    def test_a_file_too_large_to_reserve_goes_through_the_row_loop(self, tmp_path):
+        path = write(tmp_path, "score,outcome\n1.5,0\n2.5,1\n")
+        with mock.patch.object(scalesense_io.np, "empty", side_effect=MemoryError):
+            assert load_cohort(path).scores.tolist() == [1.5, 2.5]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "rows", ["1.5,0\n2.5,1\n", '1.5,0\n"2.5",1\n'], ids=["plain", "quoted"]
+    )
+    def test_a_pipe_is_opened_once(self, tmp_path, rows):
+        fifo = tmp_path / "cohort.csv"
+        os.mkfifo(fifo)
+        loaded = []
+        threads = [
+            threading.Thread(target=fifo.write_text, args=("score,outcome\n" + rows,), daemon=True),
+            threading.Thread(target=lambda: loaded.append(load_cohort(fifo)), daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert loaded[0].scores.tolist() == [1.5, 2.5]
+
+    @given(
+        rows=st.lists(st.tuples(FLOATS, st.integers(0, 1)), min_size=1, max_size=30),
+        delimiter=st.sampled_from(PLAIN_DELIMITERS),
+        has_header=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_written_cohorts_load_without_the_row_loop(
+        self, tmp_path_factory, rows, delimiter, has_header
+    ):
+        cohort = Cohort(scores=[s for s, _ in rows], outcomes=[o for _, o in rows])
+        schema = CohortFileSchema(delimiter=delimiter, has_header=has_header)
+        path = tmp_path_factory.mktemp("plain") / "cohort.csv"
+        write_cohort(cohort, path, schema)
+        with mock.patch.object(scalesense_io.csv, "reader", side_effect=AssertionError):
+            back = load_cohort(path, schema)
+        assert back.scores.tobytes() == cohort.scores.tobytes()
+        assert back.outcomes.tobytes() == cohort.outcomes.tobytes()
+
     @pytest.mark.parametrize(
         "data",
         [
@@ -408,7 +540,7 @@ class TestWriteCohort:
         and without a header, and column names that ``csv`` must quote."""
         delimiter = data.draw(st.sampled_from([",", ";", "|", "\t", " ", "é"]))
         quoted = st.sampled_from([f"a{delimiter}b", 'say "x"', "x,y", "p\nq"])
-        plain = st.text(min_size=1).filter(lambda name: name == name.strip())
+        plain = st.text(min_size=1).filter(lambda name: name == name.strip() and "\r" not in name)
         names = data.draw(st.lists(quoted | plain, min_size=2, max_size=2, unique=True))
         schema = CohortFileSchema(*names, delimiter=delimiter, has_header=data.draw(st.booleans()))
         rows = data.draw(st.lists(st.tuples(FLOATS, st.integers(0, 1)), max_size=30))
