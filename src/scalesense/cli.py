@@ -219,13 +219,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_refine_check(args: argparse.Namespace) -> int:
     base = ConditionalPMF(probs=args.base, conditioning_outcome=Outcome.DISEASED)
-    witness = RefinementWitness.build(
-        base=base,
-        deltas=args.deltas,
-        c=args.c,
-        c_prime=args.c_prime,
-        validate_deltas=False,
-    )
+    witness = RefinementWitness(base=base, deltas=args.deltas, c=args.c, c_prime=args.c_prime)
     verdict = verify_monotonicity(witness)
     print(
         f"refine-check: {verdict.status.value} "

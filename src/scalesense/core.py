@@ -360,15 +360,14 @@ def _class_count(cohort: Cohort, k) -> int:
     return k
 
 
-def _pmf_classes(pmf_diseased, pmf_healthy) -> int:
-    """The class count of two pmfs, checked to be pmfs of the same count."""
+def _require_pmf_pair(pmf_diseased, pmf_healthy) -> None:
+    """Check that both arguments are pmfs, of the same class count."""
     require_type(pmf_diseased, ConditionalPMF, "pmf_diseased")
     require_type(pmf_healthy, ConditionalPMF, "pmf_healthy")
     if pmf_diseased.k != pmf_healthy.k:
         raise DimensionMismatchError(
             f"pmf class counts differ: {pmf_diseased.k} vs {pmf_healthy.k}"
         )
-    return pmf_diseased.k
 
 
 def _class_ranks(n: int, k: int) -> np.ndarray:
@@ -384,26 +383,31 @@ def _require_both_groups(n1: int, n0: int) -> None:
         )
 
 
-def _sort_block(scores, outcomes, cum1, ends) -> None:
-    """Sort each row of ``scores`` in place; set ``cum1[:, i]`` to the diseased
-    among its ``i`` smallest scores and ``ends[:, j]`` to the count of its
-    scores up to the end of rank ``j``'s tie run (column 0 of both stays 0).
-    Neither sort need be stable: tied scores share a class, so their order
-    changes no count."""
+def _block_counts(scores, outcomes, class_ranks):
+    """Sort each row of ``scores`` in place; return its diseased count and a
+    lazy iterator of :func:`_edge_counts` at each of ``class_ranks``.
+    ``cum1[:, i]`` holds the diseased among a row's ``i`` smallest scores and
+    ``ends[:, j]`` its scores up to the end of rank ``j``'s tie run, in int32
+    while ``n < 2**31``.  Neither sort need be stable: tied scores share a
+    class, so their order changes no count."""
+    n = scores.shape[1]
+    dtype = np.int32 if n < 2**31 else np.int64
+    cum1, ends = np.zeros((2, scores.shape[0], n + 1), dtype=dtype)
     by_score = np.take_along_axis(outcomes, np.argsort(scores, axis=1), axis=1)
     np.cumsum(by_score, axis=1, out=cum1[:, 1:])
     scores.sort(axis=1)
-    ends[:, 1:] = scores.shape[1]
+    ends[:, 1:] = n
     last_of_run = scores[:, :-1] != scores[:, 1:]
-    np.copyto(ends[:, 1:-1], np.arange(1, scores.shape[1]), where=last_of_run)
+    np.copyto(ends[:, 1:-1], np.arange(1, n, dtype=dtype), where=last_of_run)
     np.minimum.accumulate(ends[:, :0:-1], axis=1, out=ends[:, :0:-1])
+    return cum1[:, -1].copy(), (_edge_counts(cum1, ends[:, ranks]) for ranks in class_ranks)
 
 
 def _edge_counts(cum1: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diseased and healthy counts per class and cohort row, checked exactly:
     the kernel of :func:`analyze_cohort` (a block of one row) and the sweep.
     ``edges[r, j]`` counts row ``r``'s sorted scores up to ``boundary_j``
-    (classes ``1 .. j``): the tie-run ends of :func:`_sort_block` read at
+    (classes ``1 .. j``): the tie-run ends of :func:`_block_counts` read at
     the :func:`_class_ranks`."""
     at_edges = cum1[np.arange(len(cum1))[:, None], edges]
     counts1 = at_edges[:, 1:] - at_edges[:, :-1]
@@ -445,6 +449,8 @@ def estimate_conditional_pmfs(
 
     Returns ``(pmf_diseased, pmf_healthy)``.
     """
+    require_type(assignment, ScaleAssignment, "assignment")
+    require_type(cohort, Cohort, "cohort")
     if len(assignment) != len(cohort):
         raise AlignmentError(
             f"{len(assignment)} class indices vs {len(cohort)} cohort rows"
@@ -465,6 +471,7 @@ def sensitivity(pmf: ConditionalPMF, c: int) -> float:
     Meaningful as sensitivity when ``pmf`` conditions on the diseased
     outcome.  ``c`` may be ``k + 1``, the call-nobody-positive sentinel.
     """
+    require_type(pmf, ConditionalPMF, "pmf")
     c = strict_int(c, "threshold", ThresholdOutOfRangeError, minimum=1, maximum=pmf.k + 1)
     return float(_tail_sums(pmf.probs)[c - 1])
 
@@ -475,6 +482,7 @@ def specificity(pmf: ConditionalPMF, c: int) -> float:
     Meaningful as specificity when ``pmf`` conditions on the healthy
     outcome.
     """
+    require_type(pmf, ConditionalPMF, "pmf")
     c = strict_int(c, "threshold", ThresholdOutOfRangeError, minimum=1, maximum=pmf.k + 1)
     return float(_head_sums(pmf.probs)[c - 1])
 
@@ -486,9 +494,7 @@ def _criterion_values(
         return se + sp - 1.0
     if criterion is ThresholdCriterion.CLOSEST_TO_TOP_LEFT:
         return (1.0 - se) ** 2 + (1.0 - sp) ** 2
-    if criterion is ThresholdCriterion.SE_SP_PRODUCT:
-        return se * sp
-    raise InvariantViolationError(f"unknown criterion {criterion!r}")
+    return se * sp  # SE_SP_PRODUCT; the public entries refuse any other criterion
 
 
 def _best_threshold(probs1, probs0, criterion: ThresholdCriterion) -> tuple:
@@ -514,7 +520,8 @@ def select_threshold(
     top-left ROC corner is minimized.  Exact criterion ties resolve to the
     smallest ``c``.
     """
-    _pmf_classes(pmf_diseased, pmf_healthy)
+    _require_pmf_pair(pmf_diseased, pmf_healthy)
+    require_type(criterion, ThresholdCriterion, "criterion")
     c, se, sp, value = (
         x[0] for x in _best_threshold([pmf_diseased.probs], [pmf_healthy.probs], criterion)
     )
@@ -530,10 +537,10 @@ def roc_points(
     coordinates are non-increasing along the list.  These points suffice to
     re-derive :func:`select_threshold` for any criterion.
     """
-    k = _pmf_classes(pmf_diseased, pmf_healthy)
+    _require_pmf_pair(pmf_diseased, pmf_healthy)
     se = _tail_sums(pmf_diseased.probs)
     sp = _head_sums(pmf_healthy.probs)
-    return [(float(1.0 - sp[i]), float(se[i])) for i in range(k + 1)]
+    return list(zip((1.0 - sp).tolist(), se.tolist()))
 
 
 def analyze_cohort(
@@ -545,17 +552,18 @@ def analyze_cohort(
 
     Partition, pmfs and errors are those of :func:`discretize` and
     :func:`estimate_conditional_pmfs`, counted by the sweep's kernel
-    (:func:`_sort_block`, :func:`_edge_counts`) on a block of one row.
+    (:func:`_block_counts`) on a block of one row, with int8 outcomes as
+    the sweep holds them.
     """
     k = _class_count(cohort, k)
+    require_type(criterion, ThresholdCriterion, "criterion")
     n = len(cohort)
     scores = cohort.scores[None].copy()
-    cum1, ends = np.zeros((2, 1, n + 1), dtype=np.int64)
-    _sort_block(scores, cohort.outcomes[None], cum1, ends)
-    n1 = int(cum1[0, -1])
-    _require_both_groups(n1, n - n1)
     ranks = _class_ranks(n, k)
-    counts1, counts0 = _edge_counts(cum1, ends[:, ranks])
+    n1, counts = _block_counts(scores, cohort.outcomes[None].astype(np.int8), [ranks])
+    n1 = int(n1[0])
+    _require_both_groups(n1, n - n1)
+    [(counts1, counts0)] = counts  # exhausted, so the kernel's buffers are freed here
     pmf1, pmf0 = _pmf_pair(counts1[0], n1, counts0[0], n - n1)
     return ScaleAnalysis(
         criterion=criterion,

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .core import MASS_TOLERANCE, ConditionalPMF, Outcome, sensitivity
-from .core import finite_float, finite_floats, require_types, strict_int
+from .core import finite_float, finite_floats, require_type, require_types, strict_int
 from .errors import (
     DimensionMismatchError,
     EmptyGridError,
@@ -64,11 +65,9 @@ class RefinementWitness:
     base:
         The ``k``-class pmf being refined.
     deltas:
-        Mass shaved from each base class; may be negative only in research
-        mode (see :func:`apply_refinement`).
-    refined:
-        The resulting ``k + 1``-class pmf; class ``i <= k`` holds
-        ``base[i] - deltas[i]`` and class ``k + 1`` holds the shaved total.
+        Mass shaved from each base class; the constructor is research mode,
+        so they may be negative (see :func:`apply_refinement`); :meth:`build`
+        applies the strict delta checks first.
     c, c_prime:
         Positive thresholds on the base (``1 <= c <= k``) and refined
         (``1 <= c_prime <= k + 1``) scales.
@@ -76,59 +75,35 @@ class RefinementWitness:
 
     base: ConditionalPMF
     deltas: tuple[float, ...]
-    refined: ConditionalPMF
     c: int
     c_prime: int
 
     def __post_init__(self) -> None:
-        require_types(self, base=ConditionalPMF, refined=ConditionalPMF)
-        deltas = tuple(
-            finite_floats(self.deltas, "deltas", InvariantViolationError).tolist()
-        )
-        k = self.base.k
-        if len(deltas) != k:
-            raise InvariantViolationError(
-                f"expected {k} deltas, got {len(deltas)}"
-            )
-        if self.refined.k != k + 1:
-            raise InvariantViolationError(
-                f"refined pmf must have {k + 1} classes, got {self.refined.k}"
-            )
-        for i, (p, d, q) in enumerate(zip(self.base.probs, deltas, self.refined.probs)):
-            if abs(q - (p - d)) > MASS_TOLERANCE:
-                raise InvariantViolationError(
-                    f"refined class {i + 1} is not base minus delta"
-                )
-        if abs(self.refined.probs[k] - math.fsum(deltas)) > MASS_TOLERANCE:
-            raise InvariantViolationError(
-                "appended class must hold exactly the shaved mass"
-            )
+        deltas = finite_floats(self.deltas, "deltas", InvalidDeltaError)
+        object.__setattr__(self, "deltas", tuple(deltas.tolist()))
+        k = self.refined.k - 1
         c = strict_int(self.c, "c", InvariantViolationError, minimum=1, maximum=k)
         c_prime = strict_int(
             self.c_prime, "c_prime", InvariantViolationError, minimum=1, maximum=k + 1
         )
-        object.__setattr__(self, "deltas", deltas)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "c_prime", c_prime)
 
+    @cached_property
+    def refined(self) -> ConditionalPMF:
+        """The ``k + 1``-class pmf: class ``i <= k`` holds ``base[i] -
+        deltas[i]`` and class ``k + 1`` the shaved total.  Derived once, at
+        construction, which fails wherever :func:`apply_refinement` does."""
+        return apply_refinement(self.base, self.deltas, validate_deltas=False)
+
     @classmethod
     def build(
-        cls,
-        base: ConditionalPMF,
-        deltas: tuple[float, ...],
-        c: int,
-        c_prime: int,
-        validate_deltas: bool = True,
+        cls, base: ConditionalPMF, deltas: tuple[float, ...], c: int, c_prime: int
     ) -> "RefinementWitness":
-        """Construct the refined pmf from ``base`` and ``deltas`` and wrap it."""
-        refined = apply_refinement(base, deltas, validate_deltas=validate_deltas)
-        return cls(
-            base=base,
-            deltas=deltas,
-            refined=refined,
-            c=c,
-            c_prime=c_prime,
-        )
+        """The witness of ``base`` and ``deltas`` once they pass
+        :func:`apply_refinement`'s strict checks ``0 <= deltas[i] <= base[i]``."""
+        apply_refinement(base, deltas)
+        return cls(base=base, deltas=deltas, c=c, c_prime=c_prime)
 
 
 def apply_refinement(
@@ -143,6 +118,8 @@ def apply_refinement(
     non-negativity requirement so deliberately malformed refinements can be
     studied, but the refined vector must still be a valid pmf.
     """
+    require_type(base, ConditionalPMF, "base")
+    require_type(validate_deltas, bool, "validate_deltas")
     deltas = tuple(finite_floats(deltas, "deltas", InvalidDeltaError).tolist())
     if len(deltas) != base.k:
         raise DimensionMismatchError(
@@ -179,6 +156,7 @@ def check_mass_control(witness: RefinementWitness) -> bool:
     guaranteed for ``c <= c'``.  Requires ``c <= c_prime``; the case
     ``c > c_prime`` is outside the guarantee entirely.
     """
+    require_type(witness, RefinementWitness, "witness")
     if witness.c > witness.c_prime:
         raise NotCoveredError(
             f"c={witness.c} > c_prime={witness.c_prime} is not covered"
@@ -196,6 +174,7 @@ def verify_monotonicity(witness: RefinementWitness) -> MonotonicityVerdict:
     sensitivity comparison (``holds`` or ``violated``).  Sensitivities are
     reported in every case.
     """
+    require_type(witness, RefinementWitness, "witness")
     se_base = sensitivity(witness.base, witness.c)
     se_refined = sensitivity(witness.refined, witness.c_prime)
     deltas_ok = all(
@@ -241,6 +220,8 @@ def search_counterexample(
     admissible vector is ``(-1, 0, ..., 0, 1)``, already at ``c' = 2``.
     """
     k = strict_int(k, "class count", InvalidClassCountError, minimum=2)
+    require_type(allow_negative_deltas, bool, "allow_negative_deltas")
+    require_type(enforce_assumption, bool, "enforce_assumption")
     grid_step = finite_float(grid_step, "grid step", EmptyGridError)
     if not 0.0 < grid_step <= 0.5:
         raise EmptyGridError(f"grid step must lie in (0, 0.5], got {grid_step!r}")
@@ -260,6 +241,4 @@ def search_counterexample(
     else:
         deltas, c_prime = (0.0,) * k, k + 1
     base = ConditionalPMF(probs=zeros + (one,), conditioning_outcome=Outcome.DISEASED)
-    return RefinementWitness.build(
-        base=base, deltas=deltas, c=1, c_prime=c_prime, validate_deltas=False
-    )
+    return RefinementWitness(base=base, deltas=deltas, c=1, c_prime=c_prime)

@@ -17,9 +17,8 @@ from .core import (
     ThresholdCriterion,
     Cohort,
     _best_threshold,
+    _block_counts,
     _class_ranks,
-    _edge_counts,
-    _sort_block,
     # Unused here, but bench/tracing.py wraps these three by name in this module.
     discretize,
     estimate_conditional_pmfs,
@@ -205,12 +204,12 @@ def run_partition_sweep(
     require_type(spec, CohortSpec, "spec", SpecValidationError)
     reps = strict_int(reps, "replications", EmptyExperimentError, minimum=1)
     ks = _class_ladder(k_values, spec.n)
+    require_type(criterion, ThresholdCriterion, "criterion")
 
     n = spec.n
     se, sp, cc = (np.empty((reps, len(ks))) for _ in range(3))
     block = max(1, min(reps, _BLOCK_CELLS // n))
     scores, outcomes = np.empty((block, n)), np.empty((block, n), dtype=np.int8)
-    cum1, run_end = np.zeros((2, block, n + 1), dtype=np.int32)
     class_ranks = [_class_ranks(n, k) for k in ks]
     for start in range(0, reps, block):
         rows = slice(start, min(start + block, reps))
@@ -219,18 +218,17 @@ def run_partition_sweep(
             for i in range(size):
                 _draw(spec, replication_seed(spec.seed, start + i), scores[i], outcomes[i])
         finite = np.isfinite(scores[:size]).all(axis=1)
-        _sort_block(scores[:size], outcomes[:size], cum1[:size], run_end[:size])
-        n1 = cum1[:size, -1:]
-        if not (ok := finite & (n1[:, 0] > 0) & (n1[:, 0] < n)).all():
+        n1, counts = _block_counts(scores[:size], outcomes[:size], class_ranks)
+        if not (ok := finite & (n1 > 0) & (n1 < n)).all():
             i = int(np.argmin(ok))
             if not finite[i]:
                 raise InvariantViolationError("all scores must be finite")
             raise DegenerateCohortError(
                 f"replication {start + i} (child seed {replication_seed(spec.seed, start + i)}):"
-                f" both outcome groups must be non-empty (n1={n1[i, 0]}, n0={n - n1[i, 0]})"
+                f" both outcome groups must be non-empty (n1={n1[i]}, n0={n - n1[i]})"
             )
-        for j, ranks in enumerate(class_ranks):
-            counts1, counts0 = _edge_counts(cum1[:size], run_end[:size, ranks])
+        n1 = n1[:, None]
+        for j, (counts1, counts0) in enumerate(counts):
             cc[rows, j], se[rows, j], sp[rows, j], _ = _best_threshold(
                 counts1 / n1, counts0 / (n - n1), criterion
             )

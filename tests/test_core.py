@@ -1,4 +1,6 @@
+import inspect
 import math
+import tracemalloc
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -42,11 +44,11 @@ from scalesense import (
     verify_monotonicity,
 )
 from scalesense.core import (
+    _block_counts,
     _class_ranks,
     _criterion_values,
     _edge_counts,
     _head_sums,
-    _sort_block,
     _tail_sums,
 )
 from conftest import integer_score_cohorts, pmf_pairs, pmfs
@@ -155,6 +157,43 @@ def public_dataclass_examples():
 
 PUBLIC_DATACLASSES = [
     obj for name in scalesense.__all__ if is_dataclass(obj := getattr(scalesense, name))
+]
+
+
+def public_function_arguments(folder):
+    """Valid keyword arguments for every function that ``scalesense`` exports,
+    with the files they read written into ``folder``."""
+    analysis = small_analysis()
+    pmf1, pmf0 = analysis.pmf_diseased, analysis.pmf_healthy
+    cohort = Cohort(scores=[0.1, 0.4, 0.7, 0.9], outcomes=[0, 1, 0, 1])
+    witness = RefinementWitness.build(pmf1, (0.0, 0.25), c=1, c_prime=2)
+    spec = small_sweep().spec
+    scalesense.write_cohort(cohort, folder / "cohort.csv")
+    scalesense.write_report(small_document(), folder / "report.json")
+    return {
+        "discretize": dict(cohort=cohort, k=2),
+        "estimate_conditional_pmfs": dict(assignment=discretize(cohort, 2)[1], cohort=cohort),
+        "sensitivity": dict(pmf=pmf1, c=1),
+        "specificity": dict(pmf=pmf0, c=1),
+        "select_threshold": dict(pmf_diseased=pmf1, pmf_healthy=pmf0),
+        "roc_points": dict(pmf_diseased=pmf1, pmf_healthy=pmf0),
+        "analyze_cohort": dict(cohort=cohort, k=2),
+        "apply_refinement": dict(base=pmf1, deltas=(0.0, 0.25)),
+        "check_mass_control": dict(witness=witness),
+        "verify_monotonicity": dict(witness=witness),
+        "search_counterexample": dict(k=2, grid_step=0.5),
+        "replication_seed": dict(master_seed=1, replication=0),
+        "generate_cohort": dict(spec=spec),
+        "run_partition_sweep": dict(spec=spec, k_values=(2,), reps=2),
+        "load_cohort": dict(path=folder / "cohort.csv"),
+        "write_cohort": dict(cohort=cohort, path=folder / "written.csv"),
+        "write_report": dict(document=small_document(), path=folder / "written.json"),
+        "read_report": dict(path=folder / "report.json"),
+    }
+
+
+PUBLIC_FUNCTIONS = [
+    name for name in scalesense.__all__ if inspect.isfunction(getattr(scalesense, name))
 ]
 
 
@@ -316,6 +355,54 @@ class TestValueTypes:
     def test_pmf_accepts_tiny_mass_slack(self):
         probs = (0.1,) * 10
         assert ConditionalPMF(probs, Outcome.DISEASED).k == 10
+
+
+class TestPublicFunctions:
+    def test_every_public_function_has_valid_arguments(self, tmp_path):
+        arguments = public_function_arguments(tmp_path)
+        assert set(arguments) == set(PUBLIC_FUNCTIONS)
+        for name, kwargs in arguments.items():
+            getattr(scalesense, name)(**kwargs)
+
+    @pytest.mark.parametrize("name", PUBLIC_FUNCTIONS)
+    def test_a_wrongly_typed_argument_is_refused_as_a_domain_error(
+        self, name, tmp_path, monkeypatch
+    ):
+        """Any one parameter, keywords included, set to ``None``, text, a
+        float or a bare object either runs or raises a
+        :class:`ScaleSenseError`.  ``"x"`` is a valid path for the writers,
+        so they write into ``tmp_path``."""
+        monkeypatch.chdir(tmp_path)
+        function = getattr(scalesense, name)
+        valid = public_function_arguments(tmp_path)[name]
+        escaped = []
+        for parameter in inspect.signature(function).parameters:
+            for value in (None, "x", 1.5, object()):
+                try:
+                    function(**{**valid, parameter: value})
+                except ScaleSenseError:
+                    pass
+                except Exception as exc:
+                    escaped.append(f"{parameter}={value!r}: {type(exc).__name__}: {exc}")
+        assert escaped == []
+
+    def test_a_wrong_criterion_is_refused_before_any_draw_or_sort(self, monkeypatch):
+        analysis = small_analysis()
+        cohort, spec = Cohort(scores=[0.1, 0.4, 0.7, 0.9], outcomes=[0, 1, 0, 1]), small_sweep().spec
+
+        def fail(*args):
+            raise AssertionError("drew or sorted before checking the criterion")
+
+        monkeypatch.setattr(scalesense.simulate, "_draw", fail)
+        monkeypatch.setattr(scalesense.core, "_block_counts", fail)
+        calls = (
+            lambda: analyze_cohort(cohort, 2, "youden"),
+            lambda: run_partition_sweep(spec, (2,), 2, "youden"),
+            lambda: select_threshold(analysis.pmf_diseased, analysis.pmf_healthy, "youden"),
+        )
+        for call in calls:
+            with pytest.raises(InvariantViolationError, match="criterion has unexpected type"):
+                call()
 
 
 class TestDiscretize:
@@ -634,8 +721,8 @@ class TestCountingKernel:
 
 
 class TestBlockKernel:
-    """The sweep's block kernel on stacked tie-heavy rows: its running-minimum
-    edge finder against a binary search, and its counts against
+    """The block kernel on stacked tie-heavy rows: its sorted rows and
+    diseased totals, and its lazily yielded counts against
     :func:`reference_counts`, row by row, at every ``k``."""
 
     @given(
@@ -648,18 +735,15 @@ class TestBlockKernel:
         n = len(cohorts[0])
         scores = np.array([cohort.scores for cohort in cohorts])
         outcomes = np.array([cohort.outcomes for cohort in cohorts], dtype=np.int8)
-        cum1, ends = np.zeros((2, len(cohorts), n + 1), dtype=np.int32)
-        _sort_block(scores, outcomes, cum1, ends)
+        all_ranks = [_class_ranks(n, k) for k in range(1, n + 1)]
+        n1, counts = _block_counts(scores, outcomes, all_ranks)
+        assert n1.dtype == np.int32 and iter(counts) is counts
         for row, cohort in enumerate(cohorts):
             assert scores[row].tolist() == sorted(cohort.scores.tolist())
-            assert cum1[row, -1] == cohort.n_diseased
-            assert ends[row, 0] == 0
-            assert np.array_equal(ends[row, 1:], np.searchsorted(scores[row], scores[row], "right"))
-        for k in range(1, n + 1):
-            ranks = _class_ranks(n, k)
-            counts1, counts0 = _edge_counts(cum1, ends[:, ranks])
+            assert n1[row] == cohort.n_diseased
+        for ranks, (counts1, counts0) in zip(all_ranks, counts, strict=True):
             for row, cohort in enumerate(cohorts):
-                boundaries, ref1, ref0 = reference_counts(cohort, k)
+                boundaries, ref1, ref0 = reference_counts(cohort, len(ranks) - 1)
                 assert np.array_equal(scores[row, ranks[1:-1] - 1], boundaries)
                 assert counts1[row].tolist() == ref1.tolist()
                 assert counts0[row].tolist() == ref0.tolist()
@@ -673,6 +757,21 @@ class TestBlockKernel:
 
 
 class TestAnalyzeCohort:
+    def test_peak_memory_per_subject_is_bounded(self):
+        # The one-row kernel holds the scores' copy, int8 outcomes, the
+        # argsort and int32 cum1/ends: about 26 bytes per subject at k=10,
+        # where int64 outcomes and buffers took about 41.
+        n = 200_000
+        rng = np.random.default_rng(5)
+        cohort = Cohort(scores=rng.normal(size=n), outcomes=rng.integers(0, 2, n))
+        tracemalloc.start()
+        try:
+            analyze_cohort(cohort, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 32
+
     def test_pipeline_composes_the_parts(self, rng):
         scores = np.concatenate([rng.normal(0, 1, 40), rng.normal(1.5, 1, 40)])
         outcomes = np.concatenate([np.zeros(40, dtype=int), np.ones(40, dtype=int)])

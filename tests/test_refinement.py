@@ -70,21 +70,19 @@ def brute_force_counterexample(
                             probs=tuple(u * grid_step for u in base_units),
                             conditioning_outcome=Outcome.DISEASED,
                         )
-                        return RefinementWitness.build(
+                        return RefinementWitness(
                             base=base_pmf,
                             deltas=tuple(u * grid_step for u in delta_units),
                             c=c,
                             c_prime=c_prime,
-                            validate_deltas=False,
                         )
     return None
 
 
 def witness(base_probs, deltas, c, c_prime, validate=True):
     base = ConditionalPMF(probs=base_probs, conditioning_outcome=Outcome.DISEASED)
-    return RefinementWitness.build(
-        base=base, deltas=deltas, c=c, c_prime=c_prime, validate_deltas=validate
-    )
+    make = RefinementWitness.build if validate else RefinementWitness
+    return make(base=base, deltas=deltas, c=c, c_prime=c_prime)
 
 
 class TestApplyRefinement:
@@ -145,6 +143,22 @@ class TestApplyRefinement:
 
 
 class TestWitnessInvariants:
+    @pytest.mark.parametrize("value", [None, "x", 1.5, object(), 1, np.True_])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: search_counterexample(2, 0.5, allow_negative_deltas=v),
+            lambda v: search_counterexample(2, 0.5, enforce_assumption=v),
+            lambda v: apply_refinement(
+                ConditionalPMF((0.6, 0.4), Outcome.DISEASED), (0.1, 0.2), validate_deltas=v
+            ),
+        ],
+        ids=["allow_negative_deltas", "enforce_assumption", "validate_deltas"],
+    )
+    def test_flags_must_be_bools(self, call, value):
+        with pytest.raises(InvariantViolationError, match="unexpected type"):
+            call(value)
+
     def test_thresholds_must_be_in_range(self):
         with pytest.raises(InvariantViolationError):
             witness((0.6, 0.4), (0.1, 0.2), c=0, c_prime=2)
@@ -159,14 +173,6 @@ class TestWitnessInvariants:
         with pytest.raises(InvariantViolationError) as excinfo:
             witness((0.6, 0.4), (0.1, 0.2), **thresholds)
         assert excinfo.value.code == "invariant-violation"
-
-    def test_refined_must_match_base_minus_deltas(self):
-        base = ConditionalPMF((0.6, 0.4), Outcome.DISEASED)
-        mismatched = ConditionalPMF((0.4, 0.3, 0.3), Outcome.DISEASED)
-        with pytest.raises(InvariantViolationError):
-            RefinementWitness(
-                base=base, deltas=(0.1, 0.2), refined=mismatched, c=1, c_prime=1
-            )
 
 
 class TestMassControl:
