@@ -13,9 +13,8 @@ positive, so sensitivity spans the exact range ``[0, 1]`` endpoints at
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Optional
 
@@ -184,26 +183,21 @@ class Cohort:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """``k`` ordered classes split by ``k - 1`` upper cut points.
+    """``k`` ordered classes split by ``k - 1`` upper cut points; ``k`` is derived.
 
     Boundaries are non-decreasing rather than strictly increasing: with
     tie-heavy scores two quantile ranks can land on the same value, and the
     class squeezed between equal boundaries is simply empty.
     """
 
-    k: int
+    k: int = field(init=False)
     boundaries: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        k = strict_int(self.k, "class count", InvariantViolationError, minimum=1)
         boundaries = finite_floats(self.boundaries, "boundaries", InvariantViolationError)
-        if boundaries.size != k - 1:
-            raise InvariantViolationError(
-                f"expected {k - 1} boundaries for k={k}, got {boundaries.size}"
-            )
         if (boundaries[1:] < boundaries[:-1]).any():
             raise InvariantViolationError("boundaries must be non-decreasing")
-        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k", boundaries.size + 1)
         object.__setattr__(self, "boundaries", tuple(boundaries.tolist()))
 
 
@@ -296,34 +290,28 @@ class DiagnosticSummary:
 
 @dataclass(frozen=True)
 class ScaleAnalysis:
-    """Full single-cohort result: criterion, partition, pmfs, ROC set, chosen cut."""
+    """Full single-cohort result: criterion, partition, pmfs, and the ROC set
+    and chosen cut, which are derived from them."""
 
     criterion: ThresholdCriterion
     partition: PartitionSpec
     pmf_diseased: ConditionalPMF
     pmf_healthy: ConditionalPMF
-    roc: tuple[tuple[float, float], ...]
-    summary: DiagnosticSummary
+    roc: tuple[tuple[float, float], ...] = field(init=False)
+    summary: DiagnosticSummary = field(init=False)
 
     def __post_init__(self) -> None:
         require_types(
             self, criterion=ThresholdCriterion, partition=PartitionSpec,
-            pmf_diseased=ConditionalPMF, pmf_healthy=ConditionalPMF, roc=(tuple, list),
-            summary=DiagnosticSummary,
+            pmf_diseased=ConditionalPMF, pmf_healthy=ConditionalPMF,
         )
-        if not all(isinstance(point, (tuple, list)) and len(point) == 2 for point in self.roc):
-            raise InvariantViolationError("roc points must be (fpr, tpr) pairs")
-        flat = finite_floats(
-            itertools.chain.from_iterable(self.roc), "roc points", InvariantViolationError
-        ).tolist()
-        object.__setattr__(self, "roc", tuple(zip(flat[::2], flat[1::2])))
-        k = self.partition.k
-        if not k == self.pmf_diseased.k == self.pmf_healthy.k:
+        pmfs = self.pmf_diseased, self.pmf_healthy
+        if not self.partition.k == pmfs[0].k == pmfs[1].k:
             raise InvariantViolationError("partition and pmfs must have the same k")
-        if len(self.roc) != k + 1:
-            raise InvariantViolationError(f"expected {k + 1} roc points, got {len(self.roc)}")
-        if not 1 <= self.summary.c <= k:
-            raise InvariantViolationError(f"threshold c={self.summary.c} is not in 1..{k}")
+        if [pmf.conditioning_outcome for pmf in pmfs] != [Outcome.DISEASED, Outcome.HEALTHY]:
+            raise InvariantViolationError("pmfs must condition on outcomes 1 and 0, in order")
+        object.__setattr__(self, "roc", tuple(roc_points(*pmfs)))
+        object.__setattr__(self, "summary", select_threshold(*pmfs, self.criterion))
 
 
 def _tail_sums(probs) -> np.ndarray:
@@ -437,7 +425,7 @@ def discretize(cohort: Cohort, k: int) -> tuple[PartitionSpec, ScaleAssignment]:
     k = _class_count(cohort, k)
     boundaries = np.sort(cohort.scores)[_class_ranks(len(cohort), k)[1:-1] - 1]
     indices = 1 + np.searchsorted(boundaries, cohort.scores, side="left")
-    spec = PartitionSpec(k=k, boundaries=boundaries.tolist())
+    spec = PartitionSpec(boundaries=boundaries.tolist())
     assignment = ScaleAssignment(k=k, class_indices=indices.astype(np.int64))
     return spec, assignment
 
@@ -567,9 +555,7 @@ def analyze_cohort(
     pmf1, pmf0 = _pmf_pair(counts1[0], n1, counts0[0], n - n1)
     return ScaleAnalysis(
         criterion=criterion,
-        partition=PartitionSpec(k=k, boundaries=scores[0, ranks[1:-1] - 1].tolist()),
+        partition=PartitionSpec(boundaries=scores[0, ranks[1:-1] - 1].tolist()),
         pmf_diseased=pmf1,
         pmf_healthy=pmf0,
-        roc=tuple(roc_points(pmf1, pmf0)),
-        summary=select_threshold(pmf1, pmf0, criterion),
     )

@@ -28,7 +28,6 @@ import numpy as np
 from .core import (
     ConditionalPMF,
     Cohort,
-    DiagnosticSummary,
     Outcome,
     PartitionSpec,
     ScaleAnalysis,
@@ -375,18 +374,26 @@ def _build(cls, mapping, context: str, **decoders):
     ``mapping`` must hold one key per field of ``cls``, named as
     :func:`_fields` names it.  ``decoders`` turn a raw JSON value into
     the field's value, called as ``decode(raw, key)``.  The constructor
-    then validates every value.
+    then validates every value and derives its ``init=False`` fields,
+    whose keys must hold the JSON text written for the derived value.
     """
     if not isinstance(mapping, dict):
         raise SchemaError(f"report {context} must be a JSON object")
-    values = {}
+    values, derived = {}, {}
     for f in fields(cls):
         key = _KEYS.get(f.name, f.name)
         if key not in mapping:
             raise SchemaError(f"report {context} lacks key '{key}'")
-        decode = decoders.get(f.name)
-        values[f.name] = decode(mapping[key], key) if decode else mapping[key]
-    return cls(**values)
+        if f.init:
+            decode = decoders.get(f.name)
+            values[f.name] = decode(mapping[key], key) if decode else mapping[key]
+        else:
+            derived[key] = f.name
+    value = cls(**values)
+    for key, name in derived.items():
+        if json.dumps(mapping[key]) != json.dumps(getattr(value, name), default=_encode):
+            raise InvariantViolationError(f"report {context} {key} disagrees with the rest")
+    return value
 
 
 def _items(value, key: str) -> tuple:
@@ -431,8 +438,6 @@ def _payload(mapping, key: str) -> Union[ExperimentReport, ScaleAnalysis]:
             partition=lambda v, k: _build(PartitionSpec, v, k, boundaries=_items),
             pmf_diseased=lambda v, k: ConditionalPMF(_items(v, k), Outcome.DISEASED),
             pmf_healthy=lambda v, k: ConditionalPMF(_items(v, k), Outcome.HEALTHY),
-            roc=lambda v, k: tuple(_items(point, k) for point in _items(v, k)),
-            summary=lambda v, k: _build(DiagnosticSummary, v, k),
         )
     raise SchemaError(f"unknown payload kind {kind!r}")
 
@@ -442,21 +447,22 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
 
     Inverse of :func:`write_report` for the ``structured-json`` format:
     reading a written document reproduces it exactly, floats included.
-    Every value is checked by the constructor it is passed to, so a
-    malformed report fails with a :class:`ScaleSenseError`.
+    Every value is checked by the constructor it is passed to, and every
+    derived key (ROC points, summary, partition ``k``) against the value
+    derived from the rest, so a malformed report fails with a
+    :class:`ScaleSenseError`.
     """
     path = _path(path)
-    try:
-        body = json.loads(path.read_text(encoding="utf-8"))
+    try:  # RecursionError: from json.loads, or from checking a derived key that nests deeply
+        return _build(
+            ReportDocument,
+            json.loads(path.read_text(encoding="utf-8")),
+            "envelope",
+            schema_version=_version,
+            provenance=lambda v, k: _build(Provenance, v, k),
+            payload=_payload,
+        )
     except OSError as exc:
         raise FileIOError(f"cannot read {path}: {exc}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return _build(
-        ReportDocument,
-        body,
-        "envelope",
-        schema_version=_version,
-        provenance=lambda v, k: _build(Provenance, v, k),
-        payload=_payload,
-    )
+        raise ParseError(f"{path} is not readable JSON: {exc}") from exc

@@ -153,8 +153,9 @@ def check_mass_control(witness: RefinementWitness) -> bool:
     """Does the shaved mass below ``c'`` cover the base mass in ``[c, c')``?
 
     This is the control condition under which sensitivity monotonicity is
-    guaranteed for ``c <= c'``.  Requires ``c <= c_prime``; the case
-    ``c > c_prime`` is outside the guarantee entirely.
+    guaranteed for ``c <= c'``, compared with :data:`MASS_TOLERANCE` of
+    slack, as :func:`verify_monotonicity` compares sensitivities.  Requires
+    ``c <= c_prime``; the case ``c > c_prime`` is outside the guarantee.
     """
     require_type(witness, RefinementWitness, "witness")
     if witness.c > witness.c_prime:
@@ -163,7 +164,7 @@ def check_mass_control(witness: RefinementWitness) -> bool:
         )
     between = math.fsum(witness.base.probs[witness.c - 1 : witness.c_prime - 1])
     shaved_below = math.fsum(witness.deltas[: witness.c_prime - 1])
-    return between <= shaved_below
+    return between <= shaved_below + MASS_TOLERANCE
 
 
 def verify_monotonicity(witness: RefinementWitness) -> MonotonicityVerdict:

@@ -165,11 +165,15 @@ class TestRefineCheck:
         assert code == 1
         assert "assumption_failed" in out
 
-    def test_holding_refinement_exits_zero(self, capsys):
+    # The second case's shavings sum to 0.7999999999999999 in floats, below the 0.8 they cover.
+    @pytest.mark.parametrize(
+        "base, deltas, c, c_prime",
+        [("0.6,0.4", "0.1,0.2", "2", "2"), ("0,0.2,0.8", "0,0.1,0.7", "3", "4")],
+    )
+    def test_holding_refinement_exits_zero(self, capsys, base, deltas, c, c_prime):
         code, out, _ = invoke(
             capsys,
-            "refine-check", "--base", "0.6,0.4", "--deltas", "0.1,0.2",
-            "--c", "2", "--c-prime", "2",
+            "refine-check", "--base", base, "--deltas", deltas, "--c", c, "--c-prime", c_prime,
         )
         assert code == 0
         assert "holds" in out

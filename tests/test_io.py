@@ -4,6 +4,7 @@ import io as _stdio
 import json
 import math
 import os
+import sys
 import threading
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,6 @@ from scalesense import (
     CohortFileSchema,
     CohortSpec,
     ConditionalPMF,
-    DiagnosticSummary,
     EmptyInputError,
     ExperimentReport,
     FileIOError,
@@ -634,6 +634,14 @@ MALFORMED_REPORTS = [
     (analysis_document, ("payload", "roc_points"), [[1.0, 1.0], [0.0, 0.0]],
      "invariant-violation"),
     (analysis_document, ("payload", "summary", "c"), 5, "invariant-violation"),
+    # Derived keys that disagree with the pmfs, criterion or boundaries they derive from:
+    # the true operating point at c=1 where the chosen cut is c=4, one ROC coordinate
+    # moved, the last point's 0.0 written as -0.0, and k=3 with 3 boundaries.
+    (analysis_document, ("payload", "summary"),
+     {"c": 1, "se": 1.0, "sp": 0.0, "criterion_value": 0.0}, "invariant-violation"),
+    (analysis_document, ("payload", "roc_points", 2, 1), 0.75, "invariant-violation"),
+    (analysis_document, ("payload", "roc_points", 4, 0), -0.0, "invariant-violation"),
+    (analysis_document, ("payload", "partition", "k"), 3, "invariant-violation"),
 ]
 
 
@@ -727,16 +735,9 @@ def analysis_documents(draw):
     boundaries = sorted(draw(st.lists(FLOATS, min_size=k - 1, max_size=k - 1)))
     payload = ScaleAnalysis(
         criterion=draw(st.sampled_from(ThresholdCriterion)),
-        partition=PartitionSpec(k=k, boundaries=boundaries),
+        partition=PartitionSpec(boundaries=boundaries),
         pmf_diseased=pmf(Outcome.DISEASED),
         pmf_healthy=pmf(Outcome.HEALTHY),
-        roc=tuple(draw(st.lists(st.tuples(FLOATS, FLOATS), min_size=k + 1, max_size=k + 1))),
-        summary=DiagnosticSummary(
-            c=draw(st.integers(1, k)),
-            se=draw(UNIT_FLOATS),
-            sp=draw(UNIT_FLOATS),
-            criterion_value=draw(FLOATS),
-        ),
     )
     return ReportDocument("1", draw(PROVENANCES), payload)
 
@@ -758,6 +759,22 @@ class TestReports:
         with mock.patch.object(scalesense_io, "_SLICE", slice_items):
             write_report(document, path)
         assert path.read_bytes() == reference_report_text(document).encode("utf-8")
+
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda size: st.lists(st.lists(FLOATS, min_size=size, max_size=size), max_size=9)
+        ),
+        st.booleans(),
+        st.sampled_from([1, 2, 3, 4096]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lists_of_float_lists_match_the_json_encoder(self, rows, as_tuples, slice_items):
+        """Rows of as many floats each, as ROC points are, however they fall into slices."""
+        rows = [tuple(row) for row in rows] if as_tuples else rows
+        parts = []
+        with mock.patch.object(scalesense_io, "_SLICE", slice_items):
+            scalesense_io._dump(rows, parts.append)
+        assert "".join(parts) == json.dumps(rows, indent=2)
 
     def test_lists_longer_than_a_slice_match_the_json_encoder(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -860,6 +877,17 @@ class TestReports:
         path.write_bytes(data)
         with pytest.raises(ParseError):
             read_report(path)
+
+    @pytest.mark.parametrize("key", ["roc_points", "summary"])
+    def test_a_derived_key_nested_near_the_recursion_limit_fails_cleanly(self, tmp_path, key):
+        """Nesting that ``json.loads`` may read but checking the key may not."""
+        text = json.dumps(mutate(report_body(analysis_document(), tmp_path), ("payload", key), "X"))
+        limit = sys.getrecursionlimit()
+        target = tmp_path / "deep.json"
+        for depth in range(limit - 60, limit + 1):
+            target.write_text(text.replace('"X"', "[" * depth + "]" * depth))
+            with pytest.raises(ScaleSenseError):
+                read_report(target)
 
     def test_missing_keys_are_schema_errors(self, tmp_path):
         path = tmp_path / "r.json"

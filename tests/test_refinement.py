@@ -193,6 +193,24 @@ class TestMassControl:
         with pytest.raises(NotCoveredError):
             check_mass_control(w)
 
+    def test_agrees_with_exact_arithmetic_on_a_tenths_grid(self):
+        """Every witness at k=3 with base and deltas in tenths, built as
+        ``units / 10``, against the condition in exact rationals."""
+        disagree = checked = 0
+        for base_units in _compositions(10, 3):
+            base = ConditionalPMF(tuple(u / 10 for u in base_units), Outcome.DISEASED)
+            for delta_units in itertools.product(*(range(b + 1) for b in base_units)):
+                deltas = tuple(u / 10 for u in delta_units)
+                for c in range(1, 4):
+                    for c_prime in range(c, 5):
+                        exact = sum(base_units[c - 1 : c_prime - 1]) <= sum(
+                            delta_units[: c_prime - 1]
+                        )
+                        w = RefinementWitness(base=base, deltas=deltas, c=c, c_prime=c_prime)
+                        disagree += check_mass_control(w) != exact
+                        checked += 1
+        assert (checked, disagree) == (27027, 0)
+
 
 class TestVerifyMonotonicity:
     def test_identity_refinement_holds_with_equal_sensitivity(self):
