@@ -20,6 +20,8 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from io import StringIO
+from itertools import chain
 from pathlib import Path
 from typing import Optional, Union
 
@@ -53,7 +55,7 @@ _KEYS = {"roc": "roc_points"}  # JSON keys other than their field's name
 _KINDS = {ExperimentReport: "partition_sweep", ScaleAnalysis: "scale_analysis"}  # payload tags
 _OUTCOMES = {"0": 0, "1": 1}  # outcome cells, once stripped
 _SLICE = 4096  # cohort rows or report list items per write, which bounds the text held at once
-_READ = 65536  # characters per read of a plain cohort file
+_READ = 65536  # characters per bulk read of a cohort file
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,9 @@ class CohortFileSchema:
     has_header: bool = True
 
     def __post_init__(self) -> None:
-        require_types(self, score_column=str, outcome_column=str, delimiter=str)
+        require_types(
+            self, score_column=str, outcome_column=str, delimiter=str, has_header=bool
+        )
         for column in (self.score_column, self.outcome_column):
             # load_cohort strips names and reads a "\r" as a line break
             if not column or column != column.strip() or "\r" in column:
@@ -134,16 +138,12 @@ def load_cohort(
     several faults the first in reading order wins: a missing column beats
     a later over-long field or undecodable byte.
 
-    A plain file, as :func:`write_cohort` writes, is parsed in bulk; any
-    other is read again from its start by the row loop, which alone reports
-    faults.
+    A plain file, as :func:`write_cohort` writes, is parsed in bulk until
+    its first slice that is not plain, which the row loop takes over.
     """
     schema = CohortFileSchema() if schema is None else schema
     require_type(schema, CohortFileSchema, "schema", SchemaError)
     path = _path(path)
-    plain = _load_plain(path, schema)
-    if plain is not None:
-        return plain
     scores, outcomes = array("d"), array("b")  # no float object kept per row
     try:
         with path.open(encoding="utf-8") as handle:
@@ -158,6 +158,12 @@ def load_cohort(
                         raise SchemaError(f"missing column '{column}' in {path}")
                 score_idx = header.index(schema.score_column)
                 outcome_idx = header.index(schema.outcome_column)
+            while (score_idx, outcome_idx) == (0, 1) and (
+                lines := handle.read(_READ) + handle.readline()  # whole lines only
+            ):
+                if not _plain(lines, schema.delimiter, scores, outcomes):
+                    reader = csv.reader(chain(StringIO(lines), handle), delimiter=schema.delimiter)
+                    break
             for row in reader:
                 try:  # float ignores the padding that strip removes
                     score = float(row[score_idx])
@@ -178,51 +184,33 @@ def load_cohort(
         raise ParseError(f"{path} is not a readable CSV: {exc}") from exc
     if not scores:
         raise EmptyInputError(f"{path} has no data rows")
-    return Cohort(np.array(scores, dtype=np.float64), np.array(outcomes, dtype=np.int64))
+    return Cohort(np.frombuffer(scores), np.frombuffer(outcomes, dtype=np.int8))
 
 
-def _load_plain(path: Path, schema: CohortFileSchema) -> Optional[Cohort]:
-    """The cohort in the regular file ``path`` if it is plain, else None: after
-    the exact header (if any), ASCII lines of at most ``csv.field_size_limit()``
-    characters, each a score ``float`` takes as finite (so no quote), the
-    delimiter, and 0 or 1.  ``csv.reader`` yields each as ``[score, outcome]``."""
-    delimiter = schema.delimiter
-    header = f"{schema.score_column}{delimiter}{schema.outcome_column}\n" * schema.has_header
-    # Not for names that csv.reader would split, unquote or refuse as too long,
-    # nor for a pipe, which the row loop could not read again.
-    if (
-        max(header.count(delimiter), header.count("\n")) > 1 or '"' in header
-        or len(header) > csv.field_size_limit() or not path.is_file()
-    ):
-        return None
-    # Each error caught below sends the file to the row loop.  ValueError: bytes that
-    # do not decode, non-ASCII text, a score float refuses, a file grown past ``rows``;
-    # MemoryError: more ``rows`` than can be reserved up front.
-    try:
-        with path.open(encoding="utf-8") as handle:
-            if handle.read(len(header)) != header:
-                return None
-            rows = os.fstat(handle.fileno()).st_size // 4  # at most, a plain line taking 4 bytes
-            scores, outcomes, count = np.empty(rows), np.empty(rows, dtype=np.int64), 0
-            while lines := handle.read(_READ) + handle.readline():  # whole lines only
-                raw = np.frombuffer(lines.encode("ascii"), dtype=np.uint8)
-                ends = np.flatnonzero(raw == ord("\n"))
-                labels = raw[ends - 1] - ord("0")  # wraps below "0", so > 1 unless 0 or 1
-                if (
-                    not lines.endswith("\n") or lines.count(delimiter) != ends.size
-                    or np.diff(ends, prepend=-1).max() > csv.field_size_limit()
-                    or labels.max() > 1 or not (raw[ends - 2] == ord(delimiter)).all()
-                ):
-                    return None
-                texts = lines.replace("\n", delimiter).split(delimiter)[:-1:2]
-                part = slice(count, count + ends.size)
-                scores[part] = list(map(float, texts))
-                if not np.isfinite(scores[part]).all():  # found before the next read
-                    return None
-                outcomes[part], count = labels, part.stop
-    except (OSError, ValueError, MemoryError):
-        return None
-    return Cohort(scores[:count], outcomes[:count]) if count else None
+def _plain(lines: str, delimiter: str, scores: array, outcomes: array) -> bool:
+    """Append the rows of ``lines`` to ``scores`` and ``outcomes`` if they are
+    plain, and say whether they were: ASCII lines of at most
+    ``csv.field_size_limit()`` characters, each a score ``float`` takes as finite
+    (so no quote), the delimiter, and 0 or 1.  ``csv.reader`` yields each as
+    ``[score, outcome]``, and the row loop would parse it with the same ``float``."""
+    try:  # ValueError: non-ASCII text, a score float refuses
+        raw = np.frombuffer(lines.encode("ascii"), dtype=np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))
+        labels = raw[ends - 1] - ord("0")  # wraps below "0", so > 1 unless 0 or 1
+        if (
+            not lines.endswith("\n") or lines.count(delimiter) != ends.size
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit()
+            or labels.max() > 1 or not (raw[ends - 2] == ord(delimiter)).all()
+        ):
+            return False
+        values = array("d", map(float, lines.replace("\n", delimiter).split(delimiter)[:-1:2]))
+    except ValueError:
+        return False
+    if not np.isfinite(np.frombuffer(values)).all():
+        return False
+    scores.extend(values)
+    outcomes.frombytes(labels.tobytes())
+    return True
 
 
 def _filled(row: list) -> bool:
@@ -464,5 +452,5 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
         )
     except OSError as exc:
         raise FileIOError(f"cannot read {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad bytes, JSON or integer digits
         raise ParseError(f"{path} is not readable JSON: {exc}") from exc

@@ -6,6 +6,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -229,12 +230,14 @@ class TestCohortFileSchema:
             {"delimiter": "\ud800"},
             {"outcome_column": "o\udfff"},
         ]
-        + [{"delimiter": char} for char in ROW_CHARS],
+        + [{"delimiter": char} for char in ROW_CHARS]
+        + [{"has_header": value} for value in ("yes", None, 1.5, 2)],
         ids=[
             "newline-delimiter", "return-delimiter", "padded-score", "padded-outcome",
             "return-in-score", "surrogate-delimiter", "surrogate-in-outcome",
         ]
-        + [f"delimiter-{char}" for char in ROW_CHARS],
+        + [f"delimiter-{char}" for char in ROW_CHARS]
+        + ["header-text", "header-none", "header-float", "header-int"],
     )
     def test_rejects_layouts_that_would_not_read_back(self, fields):
         with pytest.raises(InvariantViolationError):
@@ -360,8 +363,9 @@ class TestLoadCohort:
     def test_plain_path_matches_the_reference_loader_at_slice_boundaries(
         self, tmp_path_factory, read, data
     ):
-        """Written cohorts with one fault at a drawn row load as the reference
-        loads them, whatever the read size cuts the file into."""
+        """Written cohorts with one fault at a drawn row, and maybe a valid row
+        that is not plain before it, load as the reference loads them, whatever
+        the read size cuts the file into."""
         delimiter = data.draw(st.sampled_from(PLAIN_DELIMITERS))
         long = data.draw(st.sampled_from(LONG_FIELDS))
         names = data.draw(st.sampled_from([
@@ -374,7 +378,16 @@ class TestLoadCohort:
         cohort = Cohort(scores=[s for s, _ in rows], outcomes=[o for _, o in rows])
         write_cohort(cohort, path, schema)
         lines = path.read_text().split("\n")
-        row = len(lines) - 1 - len(rows) + data.draw(st.integers(0, len(rows) - 1))
+        first = len(lines) - 1 - len(rows)
+        row = first + data.draw(st.integers(0, len(rows) - 1))
+        handover = data.draw(st.sampled_from(["none", "quoted-score", "padded-outcome"]))
+        if handover != "none" and row > first:  # the row loop takes over from its slice
+            before = data.draw(st.integers(first, row - 1))
+            score, outcome = lines[before].rsplit(delimiter, 1)
+            lines[before] = {
+                "quoted-score": f'"3"{delimiter}{outcome}',
+                "padded-outcome": f"{score}{delimiter} {outcome}",
+            }[handover]
         score, outcome = lines[row].rsplit(delimiter, 1)
         long_score = "0" * (long - 1) + "1"
         fault = data.draw(st.sampled_from(ROW_FAULTS))
@@ -426,11 +439,6 @@ class TestLoadCohort:
         else:
             assert (got.code, str(got)) == (want.code, str(want)) and want.code == "parse-error"
 
-    def test_a_file_too_large_to_reserve_goes_through_the_row_loop(self, tmp_path):
-        path = write(tmp_path, "score,outcome\n1.5,0\n2.5,1\n")
-        with mock.patch.object(scalesense_io.np, "empty", side_effect=MemoryError):
-            assert load_cohort(path).scores.tolist() == [1.5, 2.5]
-
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize(
         "rows", ["1.5,0\n2.5,1\n", '1.5,0\n"2.5",1\n'], ids=["plain", "quoted"]
@@ -463,10 +471,34 @@ class TestLoadCohort:
         schema = CohortFileSchema(delimiter=delimiter, has_header=has_header)
         path = tmp_path_factory.mktemp("plain") / "cohort.csv"
         write_cohort(cohort, path, schema)
-        with mock.patch.object(scalesense_io.csv, "reader", side_effect=AssertionError):
+        yielded, reader = [], csv.reader
+
+        def counted(*args, **kwargs):
+            for row in reader(*args, **kwargs):
+                yielded.append(row)
+                yield row
+
+        with mock.patch.object(scalesense_io.csv, "reader", counted):
             back = load_cohort(path, schema)
+        assert len(yielded) <= has_header  # the header, if any
         assert back.scores.tobytes() == cohort.scores.tobytes()
         assert back.outcomes.tobytes() == cohort.outcomes.tobytes()
+
+    def test_peak_memory_per_row_is_bounded(self, tmp_path):
+        # The score and outcome arrays, grown as slices are parsed, and the
+        # Cohort's copies of them: about 26 bytes per row.  Reserving rows
+        # from the file size up front took about 104.
+        n = 200_000
+        rng = np.random.default_rng(5)
+        path = tmp_path / "cohort.csv"
+        write_cohort(Cohort(scores=rng.normal(size=n), outcomes=rng.integers(0, 2, n)), path)
+        tracemalloc.start()
+        try:
+            load_cohort(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 40
 
     @pytest.mark.parametrize(
         "data",
@@ -888,6 +920,17 @@ class TestReports:
             target.write_text(text.replace('"X"', "[" * depth + "]" * depth))
             with pytest.raises(ScaleSenseError):
                 read_report(target)
+
+    @pytest.mark.parametrize(
+        "path", [("schema_version",), ("payload", "records", 0, "k")], ids=["version", "record"]
+    )
+    def test_an_integer_past_the_digit_limit_is_a_parse_error(self, tmp_path, path):
+        """``json.loads`` refuses it with a plain ValueError, not a JSONDecodeError."""
+        text = json.dumps(mutate(report_body(sweep_document(), tmp_path), path, "X"))
+        target = tmp_path / "long.json"
+        target.write_text(text.replace('"X"', "1" * 5000))
+        with pytest.raises(ParseError):
+            read_report(target)
 
     def test_missing_keys_are_schema_errors(self, tmp_path):
         path = tmp_path / "r.json"
