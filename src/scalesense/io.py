@@ -7,7 +7,8 @@ digits).  Provenance carries no wall-clock data unless a timestamp is passed
 explicitly, keeping outputs reproducible by default.
 
 Cohort rows and runs of report floats are joined in bulk into the bytes
-``csv.writer`` and ``json.dump(..., indent=2)`` would write value by value.
+``csv.writer`` and ``json.dump(..., indent=2)`` would write value by value;
+the floats' text comes from :func:`_reprs`, which matches ``float.__repr__``.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def load_cohort(
                     reader = csv.reader(chain(StringIO(lines), handle), delimiter=schema.delimiter)
                     break
             for row in reader:
-                try:  # float ignores the padding that strip removes
-                    score = float(row[score_idx])
+                try:  # float refuses "\x1c"-"\x1f" padding, which strip removes
+                    score = float(row[score_idx].strip())
                     outcome = _OUTCOMES[row[outcome_idx].strip()]
                 except (IndexError, ValueError, KeyError):
                     if not _filled(row):  # a blank row fails the parse above
@@ -262,11 +263,35 @@ def write_cohort(
             writer.writerow([schema.score_column, schema.outcome_column])
         ends = (f"{schema.delimiter}0\n", f"{schema.delimiter}1\n")
         for start in range(0, len(cohort), _SLICE):
-            scores = cohort.scores[start : start + _SLICE].tolist()
+            scores = _reprs(cohort.scores[start : start + _SLICE])
             rows = [""] * (2 * len(scores))  # each score, then its delimiter, outcome and newline
-            rows[::2] = map(float.__repr__, scores)
+            rows[::2] = scores
             rows[1::2] = map(ends.__getitem__, cohort.outcomes[start : start + _SLICE].tolist())
             handle.write("".join(rows))
+
+
+def _reprs(values) -> list:
+    """``float.__repr__`` of each of ``values``: Python floats or a contiguous float64 array.
+
+    orjson writes the same shortest round-trip digits in bulk, and the same
+    text for zeros and for ``1e-4 <= |x| < 1e16``; outside that range its
+    notation differs (``1e16``, ``0.00001``), so those values are formatted
+    by ``float.__repr__``, once per distinct bit pattern.
+    """
+    import orjson  # not at module level: sweep and search format no floats and skip its load
+
+    values = np.asarray(values, dtype=np.float64)
+    if not values.size:
+        return []
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    magnitudes = np.abs(values)
+    odd = np.flatnonzero(~((magnitudes >= 1e-4) & (magnitudes < 1e16) | (values == 0)))
+    if odd.size:
+        bits, inverse = np.unique(values[odd].view(np.uint64), return_inverse=True)
+        fixed = list(map(float.__repr__, bits.view(np.float64).tolist()))
+        for i, text in zip(odd.tolist(), map(fixed.__getitem__, inverse.tolist())):
+            texts[i] = text
+    return texts
 
 
 def _fields(value) -> dict:
@@ -340,13 +365,13 @@ def _joined(items, pad: str) -> str:
     check) in one join, lists of as many floats each (ROC points) through one
     ``%`` template, anything else through ``json.dumps``."""
     if all(isinstance(item, float) for item in items):
-        return f",{pad}".join(map(float.__repr__, items))
+        return f",{pad}".join(_reprs(items))
     if all(isinstance(item, (list, tuple)) for item in items) and len(set(map(len, items))) == 1:
         values = [value for item in items for value in item]
         if values and all(isinstance(value, float) for value in values):
             inner = pad + "  "
             point = f"[{inner}{f',{inner}'.join(['%s'] * len(items[0]))}{pad}]"
-            return f",{pad}".join([point] * len(items)) % tuple(map(float.__repr__, values))
+            return f",{pad}".join([point] * len(items)) % tuple(_reprs(values))
     return f",{pad}".join(
         json.dumps(item, indent=2, default=_encode).replace("\n", pad) for item in items
     )

@@ -202,7 +202,15 @@ ROW_FAULTS = [
 ]
 LONG_FIELDS = [csv.field_size_limit() + offset for offset in (-3, -2, 0, 1)]
 
-SPECIAL_FLOATS = (-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5e-300, 1.7976931348623157e308)
+# The neighbours of 1e-4 and 1e16 sit on both sides of the points where
+# orjson's float notation and float.__repr__'s part ways (see io._reprs).
+SWITCH_NEIGHBOURS = tuple(
+    float(np.nextafter(x, toward)) for x in (1e-4, 1e16) for toward in (0.0, math.inf)
+)
+SPECIAL_FLOATS = (
+    -0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, -1.5e-300, 1.7976931348623157e308,
+    *SWITCH_NEIGHBOURS,
+)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_FLOATS)
 UNIT_FLOATS = st.floats(0.0, 1.0) | st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 0.1 + 0.2, 1.0])
 # Text whose JSON needs escapes: quote, backslash, non-ASCII, a JSON-legal
@@ -283,6 +291,16 @@ class TestLoadCohort:
         path = write(tmp_path, "score,outcome\n1e999,0\n")
         with pytest.raises(ParseError, match="row 1"):
             load_cohort(path)
+
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1f", "\x0b", "\x85", "\u2028"])
+    def test_scores_padded_with_any_whitespace_load_as_the_reference_loads_them(
+        self, tmp_path, pad
+    ):
+        """``str.strip`` removes ``\\x1c`` to ``\\x1f``, which ``float`` alone refuses."""
+        path = write(tmp_path, f"score,outcome\n{pad}0.5{pad},1\n2.5,0\n")
+        got, want = load_cohort(path), reference_load_cohort(path)
+        assert got.scores.tobytes() == want.scores.tobytes()
+        assert got.outcomes.tolist() == want.outcomes.tolist() == [1, 0]
 
     def test_short_rows_are_rejected(self, tmp_path):
         path = write(tmp_path, "score,outcome\n1.0\n")
@@ -384,9 +402,10 @@ class TestLoadCohort:
         if handover != "none" and row > first:  # the row loop takes over from its slice
             before = data.draw(st.integers(first, row - 1))
             score, outcome = lines[before].rsplit(delimiter, 1)
+            pad = "\t" if delimiter == " " else " "  # a valid row, not an empty field
             lines[before] = {
                 "quoted-score": f'"3"{delimiter}{outcome}',
-                "padded-outcome": f"{score}{delimiter} {outcome}",
+                "padded-outcome": f"{score}{delimiter}{pad}{outcome}",
             }[handover]
         score, outcome = lines[row].rsplit(delimiter, 1)
         long_score = "0" * (long - 1) + "1"
@@ -585,6 +604,38 @@ class TestWriteCohort:
         write_cohort(cohort, got, schema)
         reference_write_cohort(cohort, want, schema)
         assert got.read_bytes() == want.read_bytes()
+
+
+def float_text_cases():
+    """Float64 arrays on which ``io._reprs`` must give ``float.__repr__``'s text."""
+    rng = np.random.default_rng(19)
+    bits = rng.integers(0, 2**64, size=150_000, dtype=np.uint64).view(np.float64)
+    normals = rng.normal(size=120_000) * 10.0 ** rng.integers(-8, 21, size=120_000)
+    switches = [9999999999999998.0]
+    for x in (1e-4, -1e-4, 1e16, -1e16):
+        switches += [np.nextafter(x, 0.0), x, np.nextafter(x, math.copysign(math.inf, x))]
+    tiny = [5e-324, -5e-324, 2.0**-1040, np.nextafter(2.0**-1022, 0.0), 2.0**-1022, 0.0, -0.0]
+    tiny += [1.7976931348623157e308, -1.7976931348623157e308]
+    pmf_like = rng.integers(0, 11, size=50_000) / 123_457.0  # below 1e-4, zeros among them
+    return {
+        "random-bits": bits[np.isfinite(bits)],
+        "scaled-normals": normals,
+        "switch-points": np.array(switches),
+        "subnormals-zeros-max": np.array(tiny),
+        "pmf-like": np.concatenate([pmf_like, -pmf_like[:100]]),
+        "empty": np.array([], dtype=np.float64),
+    }
+
+
+class TestFloatText:
+    """``io._reprs`` is ``float.__repr__`` element by element.  A later orjson
+    whose float text changes fails here; its fix is a version pin, not a
+    looser test."""
+
+    @pytest.mark.parametrize("case", sorted(float_text_cases()))
+    def test_matches_float_repr(self, case):
+        values = float_text_cases()[case]
+        assert scalesense_io._reprs(values) == list(map(float.__repr__, values.tolist()))
 
 
 def sweep_document():
@@ -818,6 +869,26 @@ class TestReports:
         path = tmp_path / "r.json"
         write_report(document, path)
         assert path.read_text(encoding="utf-8") == reference_report_text(document)
+
+    def test_a_report_of_pmf_entries_below_1e_4_matches_the_json_encoder(self, tmp_path):
+        """At the fine-partition end every pmf entry is a small count over
+        ``n1`` or ``n0``, below 1e-4 and repeated, however the lists fall
+        into slices."""
+        rng = np.random.default_rng(23)
+        outcomes = rng.permutation(np.repeat([0, 1], 22_000))
+        cohort = Cohort(scores=rng.normal(outcomes, 1.0), outcomes=outcomes)
+        document = ReportDocument(
+            "1", Provenance(seed=23, tool_version="0.1.0"), analyze_cohort(cohort, 22_000)
+        )
+        probs = document.payload.pmf_diseased.probs + document.payload.pmf_healthy.probs
+        assert max(probs) < 1e-4
+        want = reference_report_text(document).encode("utf-8")
+        for slice_items in (1, 7, 4096):
+            path = tmp_path / f"r{slice_items}.json"
+            with mock.patch.object(scalesense_io, "_SLICE", slice_items):
+                write_report(document, path)
+            assert path.read_bytes() == want
+        assert read_report(path) == document
 
     @pytest.mark.parametrize("kind", sorted(REPORT_SHA256))
     def test_report_bytes_are_pinned(self, tmp_path, kind):
