@@ -77,9 +77,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--criterion", choices=sorted(_CRITERIA), default="youden"
     )
     analyze.add_argument("--out", required=True, help="output report path (JSON)")
-    analyze.add_argument("--score-column", default="score")
-    analyze.add_argument("--outcome-column", default="outcome")
-    analyze.add_argument("--delimiter", default=",")
+    layout = CohortFileSchema()
+    analyze.add_argument("--score-column", default=layout.score_column)
+    analyze.add_argument("--outcome-column", default=layout.outcome_column)
+    analyze.add_argument("--delimiter", default=layout.delimiter)
     analyze.add_argument(
         "--no-header", action="store_true", help="columns are score,outcome by position"
     )

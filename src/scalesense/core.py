@@ -58,38 +58,26 @@ def strict_int(
         maximum is not None and value > maximum
     ):
         bounds = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
-        raise error(f"{name} must be {bounds}, got {value}")
+        shown = value if value.bit_length() <= 128 else f"a {value.bit_length()}-bit integer"
+        raise error(f"{name} must be {bounds}, got {shown}")
     return value
 
 
-def finite_float(value, name: str, error: type[ScaleSenseError]) -> float:
-    """Return ``value`` as a finite Python float, or raise ``error``.
-
-    Accepts Python and numpy integers and floats.  Rejects ``bool``,
-    strings, ``None``, NaN and values beyond the float range.
-    """
-    if isinstance(value, _REAL) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise error(f"{name} must be a finite number, got {value!r}")
+def seed_int(value, name: str, error: type[ScaleSenseError]) -> int:
+    """:func:`strict_int` over ``0 .. 2**64 - 1``, the seeds ``SeedSequence`` takes."""
+    return strict_int(value, name, error, minimum=0, maximum=2**64 - 1)
 
 
 def finite_floats(values, name: str, error: type[ScaleSenseError]) -> np.ndarray:
-    """:func:`finite_float` over a whole sequence, as one float64 array.
-
-    Element types are checked once per distinct type and finiteness in one
-    numpy pass, so per-``k`` value types stay cheap inside the sweep.
-    """
+    """The sequence ``values`` as one float64 array of finite numbers, or raise
+    ``error``: Python and numpy integers and floats only (no ``bool``, text or
+    ``None``), types checked once per distinct type and finiteness in one pass."""
     if not np.iterable(values):
-        raise error(f"{name} must be a sequence of numbers, got {values!r}")
+        raise error(f"{name} must be a sequence of numbers, got a {type(values).__name__}")
     values = tuple(values)
     for kind in set(map(type, values)):
         if issubclass(kind, bool) or not issubclass(kind, _REAL):
-            raise error(f"{name} must be numbers, got a {kind.__name__}")
+            raise error(f"{name} must be real, not {kind.__name__}")
     try:
         array = np.array(values, dtype=np.float64)
     except OverflowError:
@@ -97,6 +85,11 @@ def finite_floats(values, name: str, error: type[ScaleSenseError]) -> np.ndarray
     if not np.isfinite(array).all():
         raise error(f"{name} must be finite")
     return array
+
+
+def finite_float(value, name: str, error: type[ScaleSenseError]) -> float:
+    """:func:`finite_floats` of the one ``value``, as a Python float."""
+    return float(finite_floats((value,), name, error)[0])
 
 
 def require_type(value, kind, name: str, error: type = InvariantViolationError):
@@ -111,6 +104,12 @@ def require_types(owner, **kinds) -> None:
     """:func:`require_type` on each named field of ``owner``."""
     for name, kind in kinds.items():
         require_type(getattr(owner, name), kind, name)
+
+
+def finite_fields(owner, error: type[ScaleSenseError], *names: str) -> None:
+    """:func:`finite_float` on each named field of the frozen ``owner``, stored back."""
+    for name in names:
+        object.__setattr__(owner, name, finite_float(getattr(owner, name), name, error))
 
 
 def _vector(values, kinds: str, name: str) -> np.ndarray:
@@ -239,8 +238,6 @@ class ConditionalPMF:
 
     def __post_init__(self) -> None:
         array = finite_floats(self.probs, "pmf entries", InvariantViolationError)
-        if array.size < 1:
-            raise InvariantViolationError("a pmf needs at least one class")
         if (array < 0.0).any():
             raise InvariantViolationError("pmf entries must be non-negative")
         probs = tuple(array.tolist())
@@ -281,9 +278,7 @@ class DiagnosticSummary:
     def __post_init__(self) -> None:
         c = strict_int(self.c, "threshold index", InvariantViolationError, minimum=1)
         object.__setattr__(self, "c", c)
-        for name in ("se", "sp", "criterion_value"):
-            value = finite_float(getattr(self, name), name, InvariantViolationError)
-            object.__setattr__(self, name, value)
+        finite_fields(self, InvariantViolationError, "se", "sp", "criterion_value")
         if not 0.0 <= self.se <= 1.0 or not 0.0 <= self.sp <= 1.0:
             raise InvariantViolationError("se and sp must lie in [0, 1]")
 

@@ -37,7 +37,7 @@ from .core import (
     ThresholdCriterion,
     require_type,
     require_types,
-    strict_int,
+    seed_int,
 )
 from .errors import (
     EmptyInputError,
@@ -100,21 +100,24 @@ class Provenance:
 
     def __post_init__(self) -> None:
         if self.seed is not None:
-            seed = strict_int(self.seed, "provenance seed", InvariantViolationError)
+            seed = seed_int(self.seed, "provenance seed", InvariantViolationError)
             object.__setattr__(self, "seed", seed)
         require_types(self, tool_version=str, timestamp=(str, type(None)))
 
 
 @dataclass(frozen=True)
 class ReportDocument:
-    """Versioned envelope around a sweep report or a single-cohort analysis."""
+    """Versioned envelope around a sweep report or a single-cohort analysis; its
+    version, checked first, is :data:`SCHEMA_VERSION`, as :func:`read_report` needs."""
 
     schema_version: str
     provenance: Provenance
     payload: Union[ExperimentReport, ScaleAnalysis]
 
     def __post_init__(self) -> None:
-        require_types(self, schema_version=str, provenance=Provenance, payload=tuple(_KINDS))
+        if not isinstance(self.schema_version, str) or self.schema_version != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema_version, expected {SCHEMA_VERSION!r}")
+        require_types(self, provenance=Provenance, payload=tuple(_KINDS))
 
 
 def _path(path) -> Path:
@@ -415,12 +418,6 @@ def _items(value, key: str) -> tuple:
     return tuple(value)
 
 
-def _version(value, key: str) -> str:
-    if value != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported {key} {value!r}, expected {SCHEMA_VERSION!r}")
-    return value
-
-
 def _criterion(value, key: str) -> ThresholdCriterion:
     try:
         return ThresholdCriterion(value)
@@ -471,7 +468,6 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
             ReportDocument,
             json.loads(path.read_text(encoding="utf-8")),
             "envelope",
-            schema_version=_version,
             provenance=lambda v, k: _build(Provenance, v, k),
             payload=_payload,
         )

@@ -22,9 +22,10 @@ from .core import (
     # Unused here, but bench/tracing.py wraps these three by name in this module.
     discretize,
     estimate_conditional_pmfs,
-    finite_float,
+    finite_fields,
     require_type,
     require_types,
+    seed_int,
     select_threshold,
     strict_int,
 )
@@ -41,7 +42,7 @@ DEFAULT_CLASS_LADDER = (2, 3, 4, 5, 6, 8, 10, 15, 50, 100, 200, 500, 800)
 
 DEFAULT_REPS = 1000
 
-_SEED_BOUND = 2**64
+_MAX_CELLS = (2**63 - 1) // 8  # float64 cells numpy can size: bounds n and reps x len(k_values)
 
 _BLOCK_CELLS = 1 << 16  # replications x subjects per block of the sweep
 
@@ -63,15 +64,10 @@ class CohortSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        n = strict_int(self.n, "cohort size", SpecValidationError, minimum=2)
-        seed = strict_int(
-            self.seed, "seed", SpecValidationError, minimum=0, maximum=_SEED_BOUND - 1
-        )
+        n = strict_int(self.n, "cohort size", SpecValidationError, minimum=2, maximum=_MAX_CELLS)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "seed", seed)
-        for name in ("prevalence", "mu_healthy", "mu_diseased", "sigma"):
-            value = finite_float(getattr(self, name), name, SpecValidationError)
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", seed_int(self.seed, "seed", SpecValidationError))
+        finite_fields(self, SpecValidationError, "prevalence", "mu_healthy", "mu_diseased", "sigma")
         if not 0.0 < self.prevalence < 1.0:
             raise SpecValidationError(
                 f"prevalence must lie strictly inside (0, 1), got {self.prevalence!r}"
@@ -99,9 +95,9 @@ class SweepRecord:
     def __post_init__(self) -> None:
         k = strict_int(self.k, "k", InvariantViolationError, minimum=2)
         object.__setattr__(self, "k", k)
-        for name in ("mean_se", "sd_se", "mean_sp", "sd_sp", "mean_c"):
-            value = finite_float(getattr(self, name), name, InvariantViolationError)
-            object.__setattr__(self, name, value)
+        finite_fields(
+            self, InvariantViolationError, "mean_se", "sd_se", "mean_sp", "sd_sp", "mean_c"
+        )
         for name in ("mean_se", "mean_sp"):
             if not -1e-12 <= getattr(self, name) <= 1.0 + 1e-12:
                 raise InvariantViolationError(f"{name} must lie in [0, 1]")
@@ -127,8 +123,7 @@ class ExperimentReport:
             self, spec=CohortSpec, criterion=ThresholdCriterion, k_values=(tuple, list),
             records=(tuple, list),
         )
-        reps = strict_int(self.reps, "replications", EmptyExperimentError, minimum=1)
-        k_values = _class_ladder(self.k_values, self.spec.n)
+        reps, k_values = _sweep_shape(self.reps, self.k_values, self.spec.n)
         if tuple(r.k if isinstance(r, SweepRecord) else None for r in self.records) != k_values:
             raise InvariantViolationError("need one SweepRecord per k value, in order")
         object.__setattr__(self, "reps", reps)
@@ -136,16 +131,21 @@ class ExperimentReport:
         object.__setattr__(self, "records", tuple(self.records))
 
 
-def _class_ladder(k_values, n: int) -> tuple[int, ...]:
+def _sweep_shape(reps, k_values, n: int) -> tuple[int, tuple[int, ...]]:
+    """``reps`` and the class ladder ``k_values`` of a sweep of ``n``-subject
+    cohorts, checked in that order; ``reps x len(k_values)`` is bounded last."""
+    reps = strict_int(reps, "replications", EmptyExperimentError, minimum=1)
     if not np.iterable(k_values):
-        raise InvalidClassCountError(f"class counts must be a sequence, got {k_values!r}")
+        raise InvalidClassCountError("class counts must be a sequence")
     ks = tuple(
         strict_int(k, "class count", InvalidClassCountError, minimum=2, maximum=n)
         for k in k_values
     )
     if not ks:
         raise EmptyExperimentError("need at least one class count to sweep")
-    return ks
+    if reps > _MAX_CELLS // len(ks):
+        raise EmptyExperimentError(f"replications x class counts must be at most {_MAX_CELLS}")
+    return reps, ks
 
 
 def replication_seed(master_seed: int, replication: int) -> int:
@@ -154,9 +154,7 @@ def replication_seed(master_seed: int, replication: int) -> int:
     Children are split off counter-style, so any replication's seed can be
     recomputed without generating its predecessors.
     """
-    master_seed = strict_int(
-        master_seed, "seed", SpecValidationError, minimum=0, maximum=_SEED_BOUND - 1
-    )
+    master_seed = seed_int(master_seed, "seed", SpecValidationError)
     replication = strict_int(replication, "replication", SpecValidationError, minimum=0)
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(replication,))
     return int(seq.generate_state(1, np.uint64)[0])
@@ -202,8 +200,7 @@ def run_partition_sweep(
     its child seed.
     """
     require_type(spec, CohortSpec, "spec", SpecValidationError)
-    reps = strict_int(reps, "replications", EmptyExperimentError, minimum=1)
-    ks = _class_ladder(k_values, spec.n)
+    reps, ks = _sweep_shape(reps, k_values, spec.n)
     require_type(criterion, ThresholdCriterion, "criterion")
 
     n = spec.n

@@ -58,6 +58,17 @@ class TestSimulate:
         assert code == 1
         assert "spec-validation-error" in err
 
+    def test_a_size_numpy_cannot_hold_is_a_spec_error(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        code, _, err = invoke(
+            capsys,
+            "simulate", "--seed", "0", "--n", "4611686018427387904", "--prevalence", "0.3",
+            "--mu0", "0", "--mu1", "1", "--sigma", "1", "--out", str(path),
+        )
+        assert code == 1
+        assert "spec-validation-error" in err
+        assert not path.exists()
+
 
 class TestAnalyze:
     def test_writes_a_structured_report(self, cohort_csv, tmp_path, capsys):
@@ -154,6 +165,18 @@ class TestSweep:
         assert code == 1
         assert "invalid-class-count" in err
 
+    def test_replications_numpy_cannot_hold_are_an_empty_experiment(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        code, _, err = invoke(
+            capsys,
+            "sweep", "--seed", "0", "--n", "100", "--prevalence", "0.3",
+            "--mu0", "0", "--mu1", "1", "--sigma", "1",
+            "--k-list", "2", "--reps", "4611686018427387904", "--out", str(path),
+        )
+        assert code == 1
+        assert "empty-experiment" in err
+        assert not path.exists()
+
 
 class TestRefineCheck:
     def test_failed_control_prints_status_and_exits_one(self, capsys):
@@ -166,9 +189,15 @@ class TestRefineCheck:
         assert "assumption_failed" in out
 
     # The second case's shavings sum to 0.7999999999999999 in floats, below the 0.8 they cover.
+    # The third's base falls short of mass 1 by 1e-16 and holds 9.99999999e-10 between the
+    # thresholds, where se_base is pinned at 1: a drop of two slacks, each within tolerance.
     @pytest.mark.parametrize(
         "base, deltas, c, c_prime",
-        [("0.6,0.4", "0.1,0.2", "2", "2"), ("0,0.2,0.8", "0,0.1,0.7", "3", "4")],
+        [
+            ("0.6,0.4", "0.1,0.2", "2", "2"),
+            ("0,0.2,0.8", "0,0.1,0.7", "3", "4"),
+            ("0,0,9.99999999e-10,0,0,0.9999999989999999", "0,0,0,0,0,0", "1", "4"),
+        ],
     )
     def test_holding_refinement_exits_zero(self, capsys, base, deltas, c, c_prime):
         code, out, _ = invoke(

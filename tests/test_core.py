@@ -247,6 +247,8 @@ class TestValueTypes:
             lambda: MonotonicityVerdict(status=VerdictStatus.HOLDS, se_base="x", se_refined=1.0),
             lambda: replace(small_document(), payload=None),
             lambda: replace(small_document(), provenance=None),
+            lambda: Cohort(scores=[[1.0], [2.0, 3.0]], outcomes=[0, 1]),
+            lambda: ConditionalPMF(probs=(), conditioning_outcome=Outcome.DISEASED),
         ],
         ids=[
             "cohort-text-score",
@@ -281,6 +283,8 @@ class TestValueTypes:
             "verdict-text-sensitivity",
             "document-payload-none",
             "document-provenance-none",
+            "cohort-ragged-scores",
+            "pmf-no-classes",
         ],
     )
     def test_rejects_values_that_would_be_coerced(self, build):

@@ -7,6 +7,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -765,7 +766,8 @@ JSON_REPLACEMENTS = st.one_of(
 
 
 PROVENANCES = st.builds(
-    Provenance, seed=st.none() | st.integers(), tool_version=TEXTS, timestamp=st.none() | TEXTS
+    Provenance, seed=st.none() | st.integers(0, 2**64 - 1), tool_version=TEXTS,
+    timestamp=st.none() | TEXTS,
 )
 
 
@@ -962,6 +964,35 @@ class TestReports:
             write_report(document, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("version", ["99", 99, None], ids=["text", "integer", "none"])
+    def test_a_document_of_another_version_cannot_be_built(self, version):
+        """So write_report cannot write a version read_report refuses."""
+        document = sweep_document()
+        with pytest.raises(SchemaError) as excinfo:
+            ReportDocument(version, document.provenance, document.payload)
+        assert excinfo.value.code == "schema-error"
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 10**5000], ids=["negative", "2**64", "huge"])
+    def test_a_provenance_seed_outside_the_seed_range_is_refused(self, seed):
+        with pytest.raises(InvariantViolationError) as excinfo:
+            Provenance(seed=seed, tool_version="0.1.0")
+        assert excinfo.value.code == "invariant-violation"
+
+    @pytest.mark.parametrize(
+        "change, code",
+        [
+            (lambda report: replace(report, spec=replace(report.spec, n=10**5000)),
+             "spec-validation-error"),
+            (lambda report: replace(report, reps=10**5000), "empty-experiment"),
+        ],
+        ids=["n", "reps"],
+    )
+    def test_sizes_json_cannot_write_are_refused_before_writing(self, change, code):
+        """Integers past Python's 4300-digit limit would fail inside json.dumps."""
+        with pytest.raises(ScaleSenseError) as excinfo:
+            change(sweep_document().payload)
+        assert excinfo.value.code == code
+
     def test_unknown_format_is_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
             write_report(sweep_document(), tmp_path / "r.xml", "xml")
@@ -1118,6 +1149,13 @@ class TestPathArguments:
     def test_non_paths_are_io_errors(self, function, path):
         with pytest.raises(FileIOError) as excinfo:
             PATH_FUNCTIONS[function](path)
+        assert excinfo.value.code == "io-error"
+
+    @pytest.mark.parametrize("function", PATH_FUNCTIONS)
+    @pytest.mark.parametrize("name", [".", "missing/cohort.csv"], ids=["directory", "no-parent"])
+    def test_paths_that_cannot_be_opened_are_io_errors(self, tmp_path, function, name):
+        with pytest.raises(FileIOError) as excinfo:
+            PATH_FUNCTIONS[function](tmp_path / name)
         assert excinfo.value.code == "io-error"
 
     @pytest.mark.parametrize("function", PATH_FUNCTIONS)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scalesense import (
     InvalidClassCountError,
     InvalidDeltaError,
     InvariantViolationError,
+    MASS_TOLERANCE,
     NegativeProbabilityError,
     NotCoveredError,
     Outcome,
@@ -83,6 +85,32 @@ def witness(base_probs, deltas, c, c_prime, validate=True):
     base = ConditionalPMF(probs=base_probs, conditioning_outcome=Outcome.DISEASED)
     make = RefinementWitness.build if validate else RefinementWitness
     return make(base=base, deltas=deltas, c=c, c_prime=c_prime)
+
+
+def near_tolerance_witnesses(seed, count):
+    """``count`` valid witnesses, ``c <= c'``, whose pmf mass falls short of 1
+    by up to MASS_TOLERANCE and whose base mass in ``[c, c')`` is up to
+    MASS_TOLERANCE when the rest of the mass fits outside it; ``c = 1``, where
+    sensitivity is pinned at 1, in about half of them."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        k = int(rng.integers(2, 7))
+        c = 1 if rng.random() < 0.5 else int(rng.integers(1, k + 1))
+        c_prime = int(rng.integers(c, k + 2))
+        between = list(range(c - 1, min(c_prime - 1, k)))
+        probs = np.zeros(k)
+        if between:
+            probs[between] = rng.dirichlet(np.ones(len(between))) * rng.uniform(0, MASS_TOLERANCE)
+        outside = [i for i in range(k) if i not in between] or between
+        probs[rng.choice(outside)] += 1.0 - rng.uniform(0, MASS_TOLERANCE) - probs.sum()
+        deltas = probs * rng.uniform(0, 1, k) * (rng.random(k) < 0.3)
+        try:
+            base = ConditionalPMF(probs=probs.tolist(), conditioning_outcome=Outcome.DISEASED)
+        except InvariantViolationError:  # float rounding took the mass past the tolerance
+            continue
+        made += 1
+        yield RefinementWitness.build(base, deltas.tolist(), c, c_prime)
 
 
 class TestApplyRefinement:
@@ -258,7 +286,25 @@ class TestVerifyMonotonicity:
             VerdictStatus.ASSUMPTION_FAILED,
         )
         if verdict.status is VerdictStatus.HOLDS:
-            assert verdict.se_refined >= verdict.se_base - 1e-9
+            assert verdict.se_refined >= verdict.se_base - 2 * MASS_TOLERANCE
+
+    def test_a_pmf_short_of_mass_at_the_pinned_endpoint_holds(self):
+        """se(base, 1) is pinned at 1 although this pmf's mass is
+        0.9999999999999999, and the base mass between the thresholds is just
+        under MASS_TOLERANCE: together the drop exceeds one tolerance."""
+        w = witness((0.0, 0.0, 9.99999999e-10, 0.0, 0.0, 0.9999999989999999), (0.0,) * 6, 1, 4)
+        assert check_mass_control(w)
+        verdict = verify_monotonicity(w)
+        assert verdict.se_base - verdict.se_refined > MASS_TOLERANCE
+        assert verdict.status is VerdictStatus.HOLDS
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_covered_witnesses_near_the_tolerance_are_never_violated(self, seed):
+        statuses = Counter(
+            verify_monotonicity(w).status for w in near_tolerance_witnesses(seed, 10_000)
+        )
+        assert set(statuses) <= {VerdictStatus.HOLDS, VerdictStatus.ASSUMPTION_FAILED}
+        assert statuses[VerdictStatus.HOLDS] > 5_000
 
     @given(refinement_inputs(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -347,6 +393,8 @@ class TestSearchCounterexample:
         with pytest.raises(EmptyGridError) as excinfo:
             search_counterexample(2, 5e-324)
         assert excinfo.value.code == "empty-grid"
+        with pytest.raises(EmptyGridError):  # float() overflows; its repr would exceed 4300 digits
+            search_counterexample(2, 10**5000)
 
     @pytest.mark.parametrize(
         "k, grid_step",

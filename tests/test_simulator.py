@@ -89,6 +89,19 @@ class TestCohortSpec:
             spec(**{field: value})
         assert excinfo.value.code == "spec-validation-error"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 2**62), ("n", 10**5000), ("seed", 10**5000), ("sigma", 10**5000)],
+        ids=["n-past-numpy", "n-past-digit-limit", "seed-past-digit-limit", "sigma-past-digits"],
+    )
+    def test_rejects_values_numpy_or_json_cannot_hold(self, field, value):
+        with pytest.raises(SpecValidationError) as excinfo:
+            spec(**{field: value})
+        assert excinfo.value.code == "spec-validation-error"
+
+    def test_accepts_the_largest_array_numpy_can_size(self):
+        assert spec(n=(2**63 - 1) // 8).n == 2**60 - 1
+
     def test_accepts_numpy_scalars(self):
         made = spec(n=np.int64(50), seed=np.uint64(7), sigma=np.float32(0.5))
         assert (type(made.n), type(made.seed), type(made.sigma)) == (int, int, float)
@@ -206,6 +219,7 @@ class TestPartitionSweep:
             ({"k_values": (2.5,)}, "invalid-class-count"),
             ({"k_values": None}, "invalid-class-count"),
             ({"k_values": 2}, "invalid-class-count"),
+            ({"k_values": 10**5000}, "invalid-class-count"),
         ],
     )
     def test_rejects_non_integer_arguments(self, overrides, code):
@@ -213,6 +227,15 @@ class TestPartitionSweep:
         with pytest.raises(ScaleSenseError) as excinfo:
             run_partition_sweep(spec(), **arguments)
         assert excinfo.value.code == code
+
+    @pytest.mark.parametrize(
+        "reps, k_values", [(2**62, (2,)), (10**5000, (2,)), (2**59, (2, 3, 4))],
+        ids=["reps-past-numpy", "reps-past-digit-limit", "reps-times-ks-past-numpy"],
+    )
+    def test_rejects_more_results_than_numpy_can_hold(self, reps, k_values):
+        with pytest.raises(EmptyExperimentError) as excinfo:
+            run_partition_sweep(spec(), k_values=k_values, reps=reps)
+        assert excinfo.value.code == "empty-experiment"
 
     def test_rejects_empty_k_list(self):
         with pytest.raises(EmptyExperimentError):
