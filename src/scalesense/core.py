@@ -14,6 +14,7 @@ positive, so sensitivity spans the exact range ``[0, 1]`` endpoints at
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Optional
@@ -34,9 +35,6 @@ from .errors import (
 
 MASS_TOLERANCE = 1e-9
 """Absolute slack allowed on probability sums after float arithmetic."""
-
-_REAL = (int, float, np.integer, np.floating)
-
 
 def strict_int(
     value,
@@ -68,28 +66,39 @@ def seed_int(value, name: str, error: type[ScaleSenseError]) -> int:
     return strict_int(value, name, error, minimum=0, maximum=2**64 - 1)
 
 
-def finite_floats(values, name: str, error: type[ScaleSenseError]) -> np.ndarray:
-    """The sequence ``values`` as one float64 array of finite numbers, or raise
-    ``error``: Python and numpy integers and floats only (no ``bool``, text or
-    ``None``), types checked once per distinct type and finiteness in one pass."""
-    if not np.iterable(values):
-        raise error(f"{name} must be a sequence of numbers, got a {type(values).__name__}")
-    values = tuple(values)
-    for kind in set(map(type, values)):
-        if issubclass(kind, bool) or not issubclass(kind, _REAL):
-            raise error(f"{name} must be real, not {kind.__name__}")
+def vector(values, kind: type, name: str, error: type[ScaleSenseError]) -> np.ndarray:
+    """``values`` as a new read-only 1-D array of ``kind``, int64 for ``int``
+    and all-finite float64 for ``float``, or raise ``error``.  ``values`` is a
+    1-D ndarray, typed by its dtype (any dtype when empty), or a sequence other
+    than text, typed once per distinct element type.  Elements are Python or
+    numpy integers, or for ``float`` also floats: no bool, text or ``None``."""
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        kinds = {values.dtype.type} if values.size else set()
+        if values.dtype == np.uint64 or not values.size:  # past int64 a list overflows, not wraps
+            values = values.tolist()
+    elif isinstance(values, Sequence) and not isinstance(values, (str, bytes, bytearray)):
+        kinds = set(map(type, values))
+    else:
+        got = f"{values.ndim}-D array" if isinstance(values, np.ndarray) else type(values).__name__
+        raise error(f"{name} must be a 1-D array or a sequence, not a {got}")
+    real = kind is float
+    allowed = (int, float, np.integer, np.floating) if real else (int, np.integer)
+    for element in kinds:
+        if issubclass(element, (bool, np.timedelta64)) or not issubclass(element, allowed):
+            raise error(f"{name} must be {'real' if real else 'integers'}, not {element.__name__}")
     try:
-        array = np.array(values, dtype=np.float64)
-    except OverflowError:
-        raise error(f"{name} must be finite") from None
-    if not np.isfinite(array).all():
-        raise error(f"{name} must be finite")
+        array = np.array(values, kind)
+    except OverflowError:  # an integer past int64, or past float64's range
+        array = None
+    if array is None or real and not np.isfinite(array).all():
+        raise error(f"{name} must be {'finite' if real else 'within int64'}")
+    array.setflags(write=False)
     return array
 
 
 def finite_float(value, name: str, error: type[ScaleSenseError]) -> float:
-    """:func:`finite_floats` of the one ``value``, as a Python float."""
-    return float(finite_floats((value,), name, error)[0])
+    """:func:`vector` of the one ``value``, as a Python float."""
+    return float(vector((value,), float, name, error)[0])
 
 
 def require_type(value, kind, name: str, error: type = InvariantViolationError):
@@ -112,23 +121,6 @@ def finite_fields(owner, error: type[ScaleSenseError], *names: str) -> None:
         object.__setattr__(owner, name, finite_float(getattr(owner, name), name, error))
 
 
-def _vector(values, kinds: str, name: str) -> np.ndarray:
-    """Copy ``values`` into a new 1-D array of a dtype kind in ``kinds`` (any
-    when empty), or raise :class:`InvariantViolationError`, also for bools in a
-    list that numpy would promote to numbers (ndarrays skip that element scan)."""
-    try:
-        array = np.array(values, copy=True)
-    except (TypeError, ValueError, OverflowError):  # ragged or unconvertible
-        array = None
-    if (
-        array is None or array.ndim != 1 or (array.size and array.dtype.kind not in kinds)
-        or (not isinstance(values, np.ndarray) and {bool, np.bool_} & set(map(type, values)))
-    ):
-        noun = "real numbers" if "f" in kinds else "integers"
-        raise InvariantViolationError(f"{name} must be a 1-D sequence of {noun}, not bools")
-    return array
-
-
 class Outcome(IntEnum):
     """Binary reference standard: 1 = condition present, 0 = absent."""
 
@@ -145,26 +137,25 @@ class Cohort:
     scores:
         Finite float64 risk scores, one per subject, in row order.
     outcomes:
-        int64 array of 0/1 labels aligned with ``scores``.  Integer labels
-        only: bools, strings and fractions are rejected, not coerced.  So
-        are bools mixed into a list of numbers, found by one element scan
-        that ndarray inputs skip.
+        int64 array of 0/1 labels aligned with ``scores``.
+
+    Both are copied by :func:`vector` from a 1-D ndarray or a list, tuple or
+    other sequence of numbers: integer outcomes, real scores.  Bools, text,
+    ``None``, fractional outcomes, sets, dicts, iterators and 2-D arrays are
+    rejected, not coerced; a list's element types are checked once per
+    distinct type, an ndarray's by its dtype.
     """
 
     scores: np.ndarray
     outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = _vector(self.scores, "iuf", "cohort scores").astype(np.float64, copy=False)
-        outcomes = _vector(self.outcomes, "iu", "cohort outcomes").astype(np.int64, copy=False)
+        scores = vector(self.scores, float, "all scores", InvariantViolationError)
+        outcomes = vector(self.outcomes, int, "all outcomes", InvariantViolationError)
         if scores.shape[0] != outcomes.shape[0]:
             raise AlignmentError(f"{scores.shape[0]} scores vs {outcomes.shape[0]} outcomes")
-        if not np.all(np.isfinite(scores)):
-            raise InvariantViolationError("all scores must be finite")
         if outcomes.size and (outcomes.min() < 0 or outcomes.max() > 1):
             raise InvariantViolationError("all outcomes must be 0 or 1")
-        scores.setflags(write=False)
-        outcomes.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "outcomes", outcomes)
 
@@ -193,7 +184,7 @@ class PartitionSpec:
     boundaries: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        boundaries = finite_floats(self.boundaries, "boundaries", InvariantViolationError)
+        boundaries = vector(self.boundaries, float, "boundaries", InvariantViolationError)
         if (boundaries[1:] < boundaries[:-1]).any():
             raise InvariantViolationError("boundaries must be non-decreasing")
         object.__setattr__(self, "k", boundaries.size + 1)
@@ -202,17 +193,20 @@ class PartitionSpec:
 
 @dataclass(frozen=True, eq=False)
 class ScaleAssignment:
-    """Class index in ``1 .. k`` for each subject, aligned with its cohort."""
+    """Class index in ``1 .. k`` for each subject, aligned with its cohort.
+
+    ``class_indices`` is copied by :func:`vector` into int64, from a 1-D
+    ndarray or a sequence of integers (bools and fractions are rejected).
+    """
 
     k: int
     class_indices: np.ndarray
 
     def __post_init__(self) -> None:
         k = strict_int(self.k, "class count", InvariantViolationError, minimum=1)
-        idx = _vector(self.class_indices, "iu", "class indices").astype(np.int64, copy=False)
+        idx = vector(self.class_indices, int, "class indices", InvariantViolationError)
         if idx.size and (idx.min() < 1 or idx.max() > k):
             raise InvariantViolationError(f"class indices must lie in 1..{k}")
-        idx.setflags(write=False)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "class_indices", idx)
 
@@ -237,7 +231,7 @@ class ConditionalPMF:
     conditioning_outcome: Outcome
 
     def __post_init__(self) -> None:
-        array = finite_floats(self.probs, "pmf entries", InvariantViolationError)
+        array = vector(self.probs, float, "pmf entries", InvariantViolationError)
         if (array < 0.0).any():
             raise InvariantViolationError("pmf entries must be non-negative")
         probs = tuple(array.tolist())
@@ -404,8 +398,8 @@ def _edge_counts(cum1: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _pmf_pair(counts1, n1: int, counts0, n0: int) -> tuple[ConditionalPMF, ConditionalPMF]:
     return (
-        ConditionalPMF(probs=(counts1 / n1).tolist(), conditioning_outcome=Outcome.DISEASED),
-        ConditionalPMF(probs=(counts0 / n0).tolist(), conditioning_outcome=Outcome.HEALTHY),
+        ConditionalPMF(probs=counts1 / n1, conditioning_outcome=Outcome.DISEASED),
+        ConditionalPMF(probs=counts0 / n0, conditioning_outcome=Outcome.HEALTHY),
     )
 
 
@@ -420,9 +414,7 @@ def discretize(cohort: Cohort, k: int) -> tuple[PartitionSpec, ScaleAssignment]:
     k = _class_count(cohort, k)
     boundaries = np.sort(cohort.scores)[_class_ranks(len(cohort), k)[1:-1] - 1]
     indices = 1 + np.searchsorted(boundaries, cohort.scores, side="left")
-    spec = PartitionSpec(boundaries=boundaries.tolist())
-    assignment = ScaleAssignment(k=k, class_indices=indices.astype(np.int64))
-    return spec, assignment
+    return PartitionSpec(boundaries=boundaries), ScaleAssignment(k=k, class_indices=indices)
 
 
 def estimate_conditional_pmfs(
@@ -550,7 +542,7 @@ def analyze_cohort(
     pmf1, pmf0 = _pmf_pair(counts1[0], n1, counts0[0], n - n1)
     return ScaleAnalysis(
         criterion=criterion,
-        partition=PartitionSpec(boundaries=scores[0, ranks[1:-1] - 1].tolist()),
+        partition=PartitionSpec(boundaries=scores[0, ranks[1:-1] - 1]),
         pmf_diseased=pmf1,
         pmf_healthy=pmf0,
     )

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Optional
 
 from .core import MASS_TOLERANCE, ConditionalPMF, Outcome, finite_fields, finite_float
-from .core import finite_floats, require_type, require_types, sensitivity, strict_int
+from .core import require_type, require_types, sensitivity, strict_int, vector
 from .errors import (
     DimensionMismatchError,
     EmptyGridError,
@@ -77,7 +77,7 @@ class RefinementWitness:
     c_prime: int
 
     def __post_init__(self) -> None:
-        deltas = finite_floats(self.deltas, "deltas", InvalidDeltaError)
+        deltas = vector(self.deltas, float, "deltas", InvalidDeltaError)
         object.__setattr__(self, "deltas", tuple(deltas.tolist()))
         k = self.refined.k - 1
         c = strict_int(self.c, "c", InvariantViolationError, minimum=1, maximum=k)
@@ -118,7 +118,7 @@ def apply_refinement(
     """
     require_type(base, ConditionalPMF, "base")
     require_type(validate_deltas, bool, "validate_deltas")
-    deltas = tuple(finite_floats(deltas, "deltas", InvalidDeltaError).tolist())
+    deltas = tuple(vector(deltas, float, "deltas", InvalidDeltaError).tolist())
     if len(deltas) != base.k:
         raise DimensionMismatchError(
             f"expected {base.k} deltas, got {len(deltas)}"

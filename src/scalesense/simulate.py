@@ -28,6 +28,7 @@ from .core import (
     seed_int,
     select_threshold,
     strict_int,
+    vector,
 )
 from .errors import (
     DegenerateCohortError,
@@ -135,17 +136,14 @@ def _sweep_shape(reps, k_values, n: int) -> tuple[int, tuple[int, ...]]:
     """``reps`` and the class ladder ``k_values`` of a sweep of ``n``-subject
     cohorts, checked in that order; ``reps x len(k_values)`` is bounded last."""
     reps = strict_int(reps, "replications", EmptyExperimentError, minimum=1)
-    if not np.iterable(k_values):
-        raise InvalidClassCountError("class counts must be a sequence")
-    ks = tuple(
-        strict_int(k, "class count", InvalidClassCountError, minimum=2, maximum=n)
-        for k in k_values
-    )
-    if not ks:
+    ks = vector(k_values, int, "class counts", InvalidClassCountError)
+    if (outside := ks[(ks < 2) | (ks > n)]).size:
+        raise InvalidClassCountError(f"class count must be in 2..{n}, got {outside[0]}")
+    if not ks.size:
         raise EmptyExperimentError("need at least one class count to sweep")
-    if reps > _MAX_CELLS // len(ks):
+    if reps > _MAX_CELLS // ks.size:
         raise EmptyExperimentError(f"replications x class counts must be at most {_MAX_CELLS}")
-    return reps, ks
+    return reps, tuple(ks.tolist())
 
 
 def replication_seed(master_seed: int, replication: int) -> int:
@@ -168,10 +166,18 @@ def _draw(spec: CohortSpec, seed: int, scores: np.ndarray, outcomes: np.ndarray)
     scores[:] = rng.standard_normal(spec.n) * spec.sigma + means
 
 
+def _empty(shape: tuple, error: type, dtype=float) -> np.ndarray:
+    """``np.empty(shape, dtype)``, or ``error`` for a size the machine cannot hold."""
+    try:
+        return np.empty(shape, dtype)
+    except MemoryError:  # raised at once: numpy touches no memory before it fails
+        raise error(f"cannot allocate a {np.dtype(dtype)} array of shape {shape}") from None
+
+
 def generate_cohort(spec: CohortSpec) -> Cohort:
     """Draw one cohort; identical specs give bit-identical cohorts."""
     require_type(spec, CohortSpec, "spec", SpecValidationError)
-    scores, outcomes = np.empty(spec.n), np.empty(spec.n, dtype=np.int64)
+    scores, outcomes = (_empty((spec.n,), SpecValidationError, kind) for kind in (float, int))
     with np.errstate(over="ignore"):  # Cohort refuses the overflowed scores
         _draw(spec, spec.seed, scores, outcomes)
     return Cohort(scores=scores, outcomes=outcomes)
@@ -204,9 +210,9 @@ def run_partition_sweep(
     require_type(criterion, ThresholdCriterion, "criterion")
 
     n = spec.n
-    se, sp, cc = (np.empty((reps, len(ks))) for _ in range(3))
+    se, sp, cc = (_empty((reps, len(ks)), EmptyExperimentError) for _ in range(3))
     block = max(1, min(reps, _BLOCK_CELLS // n))
-    scores, outcomes = np.empty((block, n)), np.empty((block, n), dtype=np.int8)
+    scores, outcomes = (_empty((block, n), SpecValidationError, kind) for kind in (float, np.int8))
     class_ranks = [_class_ranks(n, k) for k in ks]
     for start in range(0, reps, block):
         rows = slice(start, min(start + block, reps))

@@ -70,6 +70,18 @@ class TestSimulate:
         assert not path.exists()
 
 
+    def test_a_cohort_the_machine_cannot_hold_is_a_spec_error(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        code, _, err = invoke(
+            capsys,
+            "simulate", "--seed", "0", "--n", str(2**59), "--prevalence", "0.3",
+            "--mu0", "0", "--mu1", "1", "--sigma", "1", "--out", str(path),
+        )
+        assert code == 1
+        assert "spec-validation-error" in err and "cannot allocate" in err
+        assert not path.exists()
+
+
 class TestAnalyze:
     def test_writes_a_structured_report(self, cohort_csv, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -175,6 +187,18 @@ class TestSweep:
         )
         assert code == 1
         assert "empty-experiment" in err
+        assert not path.exists()
+
+    def test_replications_the_machine_cannot_hold_are_an_empty_experiment(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        code, _, err = invoke(
+            capsys,
+            "sweep", "--seed", "0", "--n", "100", "--prevalence", "0.3",
+            "--mu0", "0", "--mu1", "1", "--sigma", "1",
+            "--k-list", "2", "--reps", str(2**59), "--out", str(path),
+        )
+        assert code == 1
+        assert "empty-experiment" in err and "cannot allocate" in err
         assert not path.exists()
 
 

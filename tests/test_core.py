@@ -18,9 +18,11 @@ from scalesense import (
     DegenerateCohortError,
     DiagnosticSummary,
     DimensionMismatchError,
+    EmptyExperimentError,
     EmptyInputError,
     InsufficientSamplesError,
     InvalidClassCountError,
+    InvalidDeltaError,
     InvariantViolationError,
     MonotonicityVerdict,
     Outcome,
@@ -34,6 +36,7 @@ from scalesense import (
     ThresholdOutOfRangeError,
     VerdictStatus,
     analyze_cohort,
+    apply_refinement,
     discretize,
     estimate_conditional_pmfs,
     roc_points,
@@ -123,6 +126,57 @@ def scaled_youden(cohort, analysis):
     above1 = int((positive & diseased).sum())
     below0 = int((~positive & ~diseased).sum())
     return above1 * n0 + below0 * n1 - n1 * n0
+
+
+# Containers that the numeric-vector rule refuses, each built from a list
+# of valid values: none is a 1-D ndarray or a sequence other than text.
+REFUSED_CONTAINERS = {
+    "set": set,
+    "dict": dict.fromkeys,
+    "generator": lambda values: (value for value in values),
+    "iterator": iter,
+    "str": lambda values: ",".join(map(str, values)),
+    "bytes": lambda values: ",".join(map(str, values)).encode(),
+    "2d-array": lambda values: np.array([values]),
+}
+
+HALVES = ConditionalPMF(probs=(0.5, 0.5, 0.0), conditioning_outcome=Outcome.DISEASED)
+TINY_SPEC = CohortSpec(n=20, prevalence=0.5, mu_healthy=0.0, mu_diseased=1.0, sigma=1.0, seed=1)
+
+# Every numeric-vector entry point: what it keeps of a vector, valid values
+# for it, whether it takes floats, and the code it refuses a vector with.
+VECTOR_ENTRIES = {
+    "cohort-scores": (lambda v: Cohort(scores=v, outcomes=[0, 1, 1]).scores, [2, 0, 1], True,
+                      InvariantViolationError),
+    "cohort-outcomes": (lambda v: Cohort(scores=[1.0, 2.0, 3.0], outcomes=v).outcomes,
+                        [0, 1, 1], False, InvariantViolationError),
+    "partition": (lambda v: PartitionSpec(boundaries=v).boundaries, [0, 1, 1], True,
+                  InvariantViolationError),
+    "assignment": (lambda v: ScaleAssignment(k=3, class_indices=v).class_indices, [3, 1, 2],
+                   False, InvariantViolationError),
+    "pmf": (lambda v: ConditionalPMF(probs=v, conditioning_outcome=Outcome.DISEASED).probs,
+            [0, 1, 0], True, InvariantViolationError),
+    "witness-deltas": (lambda v: RefinementWitness(base=HALVES, deltas=v, c=1, c_prime=1).deltas,
+                       [0, 0, 0], True, InvalidDeltaError),
+    "apply-refinement-deltas": (lambda v: apply_refinement(HALVES, v).probs, [0, 0, 0], True,
+                                InvalidDeltaError),
+    "sweep-k-values": (lambda v: run_partition_sweep(TINY_SPEC, k_values=v, reps=1).k_values,
+                       [2, 5, 3], False, InvalidClassCountError),
+}
+
+
+def refused_container(entry, container):
+    """A call of ``entry`` on its valid values in the refused ``container``."""
+    build, values = VECTOR_ENTRIES[entry][:2]
+    return lambda: build(REFUSED_CONTAINERS[container](values))
+
+
+INVARIANT_CONTAINER_CASES = [
+    (f"{entry}-in-{container}", refused_container(entry, container))
+    for entry, (*_, error) in VECTOR_ENTRIES.items()
+    if error is InvariantViolationError
+    for container in REFUSED_CONTAINERS
+]
 
 
 def small_analysis():
@@ -249,7 +303,8 @@ class TestValueTypes:
             lambda: replace(small_document(), provenance=None),
             lambda: Cohort(scores=[[1.0], [2.0, 3.0]], outcomes=[0, 1]),
             lambda: ConditionalPMF(probs=(), conditioning_outcome=Outcome.DISEASED),
-        ],
+        ]
+        + [build for _, build in INVARIANT_CONTAINER_CASES],
         ids=[
             "cohort-text-score",
             "cohort-fractional-outcome",
@@ -285,12 +340,65 @@ class TestValueTypes:
             "document-provenance-none",
             "cohort-ragged-scores",
             "pmf-no-classes",
-        ],
+        ]
+        + [name for name, _ in INVARIANT_CONTAINER_CASES],
     )
     def test_rejects_values_that_would_be_coerced(self, build):
         with pytest.raises(InvariantViolationError) as excinfo:
             build()
         assert excinfo.value.code == "invariant-violation"
+
+    @pytest.mark.parametrize("container", list(REFUSED_CONTAINERS))
+    @pytest.mark.parametrize(
+        "entry", ["witness-deltas", "apply-refinement-deltas", "sweep-k-values"]
+    )
+    def test_deltas_and_class_ladders_refuse_other_containers(self, entry, container):
+        error = VECTOR_ENTRIES[entry][3]
+        with pytest.raises(error) as excinfo:
+            refused_container(entry, container)()
+        assert excinfo.value.code == error.code
+
+    @pytest.mark.parametrize(
+        "dtype", [f"{sign}int{bits}" for sign in ("", "u") for bits in (8, 16, 32, 64)]
+        + ["float32", "float64"],
+    )
+    @pytest.mark.parametrize("entry", list(VECTOR_ENTRIES))
+    def test_arrays_of_any_numeric_dtype_read_as_their_list(self, entry, dtype):
+        build, values, takes_floats, error = VECTOR_ENTRIES[entry]
+        array = np.array(values, dtype)
+        if array.dtype.kind == "f" and not takes_floats:
+            for form in (array, array.tolist()):
+                with pytest.raises(error):
+                    build(form)
+        else:
+            kept = build(array)
+            assert np.array_equal(kept, build(array.tolist()))
+            assert np.array_equal(kept, build(values))
+
+    def test_ranges_are_accepted(self):
+        assert Cohort(scores=range(3), outcomes=[0, 1, 1]).scores.tolist() == [0.0, 1.0, 2.0]
+        assert Cohort(scores=[1.0, 2.0], outcomes=range(2)).outcomes.tolist() == [0, 1]
+        assert PartitionSpec(boundaries=range(3)).boundaries == (0.0, 1.0, 2.0)
+        assert ScaleAssignment(k=3, class_indices=range(1, 4)).class_indices.tolist() == [1, 2, 3]
+        assert run_partition_sweep(TINY_SPEC, k_values=range(2, 5), reps=1).k_values == (2, 3, 4)
+
+    def test_fractional_float32_entries_keep_their_float32_value(self):
+        array = np.array([0.1, 0.9], np.float32)
+        assert Cohort(scores=array, outcomes=[0, 1]).scores.tolist() == array.tolist()
+
+    def test_array_entries_past_int64_are_refused_as_their_list(self):
+        for form in (np.array([1, 2**64 - 1], np.uint64), [1, 2**64 - 1]):
+            with pytest.raises(InvariantViolationError, match="within int64"):
+                ScaleAssignment(k=2, class_indices=form)
+
+    @pytest.mark.parametrize("dtype", ["float64", "int8", "uint64", "U1", "O", "?", "c16"])
+    def test_empty_arrays_of_any_dtype_are_accepted(self, dtype):
+        empty = np.array([], dtype)
+        assert len(Cohort(scores=empty, outcomes=empty)) == 0
+        assert PartitionSpec(boundaries=empty).k == 1
+        assert len(ScaleAssignment(k=1, class_indices=empty)) == 0
+        with pytest.raises(EmptyExperimentError):
+            run_partition_sweep(TINY_SPEC, k_values=empty, reps=1)
 
     def test_every_public_dataclass_has_an_example(self):
         assert set(public_dataclass_examples()) == set(PUBLIC_DATACLASSES)

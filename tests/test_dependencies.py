@@ -1,7 +1,10 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency, and
+``orjson`` is loaded only by the commands that format float runs."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +39,36 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = imported - set(sys.stdlib_module_names) - {"scalesense"}
     assert third_party, "found no third-party import; the walk is broken"
     assert third_party <= declared_dependencies()
+
+
+LAZY_ORJSON = """
+import sys
+from scalesense.cli import run
+
+out = sys.argv[1]
+spec = ["--seed", "1", "--n", "60", "--prevalence", "0.4", "--mu0", "0", "--mu1", "1",
+        "--sigma", "1"]
+for name in ("s.json", "s.csv"):
+    assert run(["sweep", *spec, "--k-list", "2,3", "--reps", "2", "--out", f"{out}/{name}"]) == 0
+assert run(["refine-check", "--base", "0.6,0.4", "--deltas", "0.1,0.2", "--c", "1",
+            "--c-prime", "2"]) in (0, 1)
+assert run(["counterexample", "--k", "2", "--grid-step", "0.5"]) in (0, 1)
+print("orjson loaded:", "orjson" in sys.modules)
+assert run(["simulate", *spec, "--out", f"{out}/c.csv"]) == 0
+print("orjson loaded:", "orjson" in sys.modules)
+"""
+
+
+def test_orjson_stays_unloaded_until_a_command_formats_float_runs(tmp_path):
+    """A fresh interpreter runs ``sweep`` (JSON and flat CSV), ``refine-check``
+    and ``counterexample`` without loading ``orjson``, then ``simulate`` loads
+    it: an eager import would cost every command its load time."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_ORJSON, str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("orjson loaded:")]
+    assert loaded == ["orjson loaded: False", "orjson loaded: True"]

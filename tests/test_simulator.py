@@ -128,6 +128,13 @@ class TestGenerateCohort:
         prevalence = cohort.n_diseased / len(cohort)
         assert abs(prevalence - 0.3) <= 4.0 * np.sqrt(0.3 * 0.7 / len(cohort))
 
+    def test_a_cohort_the_machine_cannot_hold_is_a_spec_error(self):
+        # 2**59 float64 scores are 4 EiB: inside the size bound, and refused by
+        # numpy's allocator at once, without touching memory.
+        with pytest.raises(SpecValidationError, match="cannot allocate") as excinfo:
+            generate_cohort(spec(n=2**59))
+        assert excinfo.value.code == "spec-validation-error"
+
 
 class TestReplicationSeeds:
     def test_derivation_is_deterministic(self):
@@ -236,6 +243,17 @@ class TestPartitionSweep:
         with pytest.raises(EmptyExperimentError) as excinfo:
             run_partition_sweep(spec(), k_values=k_values, reps=reps)
         assert excinfo.value.code == "empty-experiment"
+
+    @pytest.mark.parametrize(
+        "size, error",
+        [(dict(reps=2**59), EmptyExperimentError), (dict(n=2**59), SpecValidationError)],
+        ids=["reps", "n"],
+    )
+    def test_results_or_cohorts_the_machine_cannot_hold_name_their_size(self, size, error):
+        # 2**59 float64 cells are 4 EiB, which numpy's allocator refuses at once.
+        with pytest.raises(error, match="cannot allocate") as excinfo:
+            run_partition_sweep(spec(n=size.get("n", 400)), k_values=(2,), reps=size.get("reps", 1))
+        assert excinfo.value.code == error.code
 
     def test_rejects_empty_k_list(self):
         with pytest.raises(EmptyExperimentError):
