@@ -36,6 +36,10 @@ from .errors import (
 MASS_TOLERANCE = 1e-9
 """Absolute slack allowed on probability sums after float arithmetic."""
 
+# float64 cells numpy can size: bounds a cohort's n, a sweep's results and a witness's k
+_MAX_CELLS = (2**63 - 1) // 8
+
+
 def strict_int(
     value,
     name: str,
@@ -87,7 +91,8 @@ def vector(values, kind: type, name: str, error: type[ScaleSenseError]) -> np.nd
         if issubclass(element, (bool, np.timedelta64)) or not issubclass(element, allowed):
             raise error(f"{name} must be {'real' if real else 'integers'}, not {element.__name__}")
     try:
-        array = np.array(values, kind)
+        with np.errstate(over="ignore"):  # a longdouble past float64's range casts to inf
+            array = np.array(values, kind)
     except OverflowError:  # an integer past int64, or past float64's range
         array = None
     if array is None or real and not np.isfinite(array).all():
@@ -235,7 +240,10 @@ class ConditionalPMF:
         if (array < 0.0).any():
             raise InvariantViolationError("pmf entries must be non-negative")
         probs = tuple(array.tolist())
-        total = math.fsum(probs)
+        try:
+            total = math.fsum(probs)
+        except OverflowError:  # entries whose sum is past float64's range
+            total = math.inf
         if abs(total - 1.0) > MASS_TOLERANCE:
             raise InvariantViolationError(
                 f"pmf mass must be 1 within {MASS_TOLERANCE}, got {total!r}"

@@ -18,7 +18,7 @@ import json
 import math
 import os
 from array import array
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from io import StringIO
@@ -54,6 +54,18 @@ FLAT_CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
 
 _KEYS = {"roc": "roc_points"}  # JSON keys other than their field's name
 _KINDS = {ExperimentReport: "partition_sweep", ScaleAnalysis: "scale_analysis"}  # payload tags
+_DECODERS = {  # field name -> decode(JSON value, key), for fields not read as they stand
+    "provenance": lambda v, k: _build(Provenance, v, k),
+    "payload": lambda v, k: _payload(v, k),
+    "spec": lambda v, k: _build(CohortSpec, v, k),
+    "criterion": lambda v, k: _criterion(v, k),
+    "k_values": lambda v, k: _items(v, k),
+    "records": lambda v, k: tuple(_build(SweepRecord, r, "record") for r in _items(v, k)),
+    "partition": lambda v, k: _build(PartitionSpec, v, k),
+    "boundaries": lambda v, k: _items(v, k),
+    "pmf_diseased": lambda v, k: ConditionalPMF(_items(v, k), Outcome.DISEASED),
+    "pmf_healthy": lambda v, k: ConditionalPMF(_items(v, k), Outcome.HEALTHY),
+}
 _OUTCOMES = {"0": 0, "1": 1}  # outcome cells, once stripped
 _SLICE = 4096  # cohort rows or report list items per write, which bounds the text held at once
 _READ = 65536  # characters per bulk read of a cohort file
@@ -121,11 +133,13 @@ class ReportDocument:
 
 
 def _path(path) -> Path:
-    """``path`` as a :class:`Path`; a value that cannot name a file is an io-error."""
+    """``path`` as a :class:`Path`; a value that cannot name a file is an io-error,
+    as is a name the file system cannot encode (a lone surrogate)."""
     name = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
-    if not isinstance(name, str) or "\0" in name:
-        raise FileIOError(f"need a file path, got {path!r}")
-    return Path(name)
+    with suppress(UnicodeEncodeError):
+        if isinstance(name, str) and b"\0" not in os.fsencode(name):
+            return Path(name)
+    raise FileIOError(f"need a file path, got {path!r}")
 
 
 def load_cohort(
@@ -364,17 +378,19 @@ def _dump(value, write, pad: str = "\n") -> None:
 
 
 def _joined(items, pad: str) -> str:
-    """``items`` as JSON list items at ``pad``: floats (finite, as constructors
-    check) in one join, lists of as many floats each (ROC points) through one
-    ``%`` template, anything else through ``json.dumps``."""
-    if all(isinstance(item, float) for item in items):
+    """``items`` as JSON list items at ``pad``.  A report list holds items of
+    one kind, as its value type makes them, so the first names it: floats
+    (finite, as constructors check) go in one join, rows of as many floats
+    each (ROC points) through one ``%`` template, anything else through
+    ``json.dumps``."""
+    first = items[0]
+    if isinstance(first, float):
         return f",{pad}".join(_reprs(items))
-    if all(isinstance(item, (list, tuple)) for item in items) and len(set(map(len, items))) == 1:
-        values = [value for item in items for value in item]
-        if values and all(isinstance(value, float) for value in values):
-            inner = pad + "  "
-            point = f"[{inner}{f',{inner}'.join(['%s'] * len(items[0]))}{pad}]"
-            return f",{pad}".join([point] * len(items)) % tuple(_reprs(values))
+    if isinstance(first, (list, tuple)) and first and isinstance(first[0], float):
+        inner = pad + "  "
+        point = f"[{inner}{f',{inner}'.join(['%s'] * len(first))}{pad}]"
+        values = tuple(_reprs([value for item in items for value in item]))
+        return f",{pad}".join([point] * len(items)) % values
     return f",{pad}".join(
         json.dumps(item, indent=2, default=_encode).replace("\n", pad) for item in items
     )
@@ -384,14 +400,14 @@ def _csv_cell(value) -> str:
     return str(value) if isinstance(value, int) else format(value, ".12g")
 
 
-def _build(cls, mapping, context: str, **decoders):
+def _build(cls, mapping, context: str):
     """Construct ``cls`` from the decoded JSON object ``mapping``.
 
     ``mapping`` must hold one key per field of ``cls``, named as
-    :func:`_fields` names it.  ``decoders`` turn a raw JSON value into
-    the field's value, called as ``decode(raw, key)``.  The constructor
-    then validates every value and derives its ``init=False`` fields,
-    whose keys must hold the JSON text written for the derived value.
+    :func:`_fields` names it.  :data:`_DECODERS` turns a raw JSON value into
+    the value of the field it names, called as ``decode(raw, key)``.  The
+    constructor then validates every value and derives its ``init=False``
+    fields, whose keys must hold the JSON text written for the derived value.
     """
     if not isinstance(mapping, dict):
         raise SchemaError(f"report {context} must be a JSON object")
@@ -401,7 +417,7 @@ def _build(cls, mapping, context: str, **decoders):
         if key not in mapping:
             raise SchemaError(f"report {context} lacks key '{key}'")
         if f.init:
-            decode = decoders.get(f.name)
+            decode = _DECODERS.get(f.name)
             values[f.name] = decode(mapping[key], key) if decode else mapping[key]
         else:
             derived[key] = f.name
@@ -427,28 +443,9 @@ def _criterion(value, key: str) -> ThresholdCriterion:
 
 def _payload(mapping, key: str) -> Union[ExperimentReport, ScaleAnalysis]:
     kind = mapping.get("kind") if isinstance(mapping, dict) else None
-    if kind == _KINDS[ExperimentReport]:
-        return _build(
-            ExperimentReport,
-            mapping,
-            key,
-            spec=lambda v, k: _build(CohortSpec, v, k),
-            criterion=_criterion,
-            k_values=_items,
-            records=lambda v, k: tuple(
-                _build(SweepRecord, r, "record") for r in _items(v, k)
-            ),
-        )
-    if kind == _KINDS[ScaleAnalysis]:
-        return _build(
-            ScaleAnalysis,
-            mapping,
-            key,
-            criterion=_criterion,
-            partition=lambda v, k: _build(PartitionSpec, v, k, boundaries=_items),
-            pmf_diseased=lambda v, k: ConditionalPMF(_items(v, k), Outcome.DISEASED),
-            pmf_healthy=lambda v, k: ConditionalPMF(_items(v, k), Outcome.HEALTHY),
-        )
+    for cls, tag in _KINDS.items():
+        if kind == tag:
+            return _build(cls, mapping, key)
     raise SchemaError(f"unknown payload kind {kind!r}")
 
 
@@ -464,13 +461,7 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
     """
     path = _path(path)
     try:  # RecursionError: from json.loads, or from checking a derived key that nests deeply
-        return _build(
-            ReportDocument,
-            json.loads(path.read_text(encoding="utf-8")),
-            "envelope",
-            provenance=lambda v, k: _build(Provenance, v, k),
-            payload=_payload,
-        )
+        return _build(ReportDocument, json.loads(path.read_text(encoding="utf-8")), "envelope")
     except OSError as exc:
         raise FileIOError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # ValueError: bad bytes, JSON or integer digits

@@ -18,7 +18,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Optional
 
-from .core import MASS_TOLERANCE, ConditionalPMF, Outcome, finite_fields, finite_float
+from .core import _MAX_CELLS, MASS_TOLERANCE, ConditionalPMF, Outcome, finite_fields, finite_float
 from .core import require_type, require_types, sensitivity, strict_int, vector
 from .errors import (
     DimensionMismatchError,
@@ -125,20 +125,15 @@ def apply_refinement(
         )
     if validate_deltas and (fault := _delta_fault(base.probs, deltas)):
         raise InvalidDeltaError(fault)
-    kept = tuple(p - d for p, d in zip(base.probs, deltas))
-    shaved = math.fsum(deltas)
-    if any(q < -MASS_TOLERANCE for q in kept) or shaved < -MASS_TOLERANCE:
-        raise NegativeProbabilityError(
-            "refinement would drive a class probability below zero"
-        )
+    try:  # the kept masses, then the pooled one
+        refined = [p - d for p, d in zip(base.probs, deltas)] + [math.fsum(deltas)]
+    except OverflowError:  # a pool past float64's range leaves a kept or pooled mass below 0
+        refined = [-math.inf]
+    if min(refined) < -MASS_TOLERANCE:
+        raise NegativeProbabilityError("refinement would drive a class probability below zero")
     # Mixed-sign deltas can leave a rounding residue like -1e-17 where the
     # exact sum is zero; clamp it rather than reject the whole refinement.
-    kept = tuple(max(q, 0.0) for q in kept)
-    shaved = max(shaved, 0.0)
-    return ConditionalPMF(
-        probs=kept + (shaved,),
-        conditioning_outcome=base.conditioning_outcome,
-    )
+    return ConditionalPMF([max(q, 0.0) for q in refined], base.conditioning_outcome)
 
 
 def _delta_fault(probs, deltas) -> Optional[str]:
@@ -219,7 +214,7 @@ def search_counterexample(
     zero, first at ``c' = k + 1``; with negative deltas, whose lex-first
     admissible vector is ``(-1, 0, ..., 0, 1)``, already at ``c' = 2``.
     """
-    k = strict_int(k, "class count", InvalidClassCountError, minimum=2)
+    k = strict_int(k, "class count", InvalidClassCountError, minimum=2, maximum=_MAX_CELLS)
     require_type(allow_negative_deltas, bool, "allow_negative_deltas")
     require_type(enforce_assumption, bool, "enforce_assumption")
     grid_step = finite_float(grid_step, "grid step", EmptyGridError)
@@ -235,10 +230,13 @@ def search_counterexample(
         return None
 
     one = units * grid_step
-    zeros = (0.0,) * (k - 1)
-    if allow_negative_deltas:
-        deltas, c_prime = (-one,) + zeros[1:] + (one,), 2
-    else:
-        deltas, c_prime = (0.0,) * k, k + 1
-    base = ConditionalPMF(probs=zeros + (one,), conditioning_outcome=Outcome.DISEASED)
-    return RefinementWitness(base=base, deltas=deltas, c=1, c_prime=c_prime)
+    try:
+        zeros = (0.0,) * (k - 1)
+        if allow_negative_deltas:
+            deltas, c_prime = (-one,) + zeros[1:] + (one,), 2
+        else:
+            deltas, c_prime = (0.0,) * k, k + 1
+        base = ConditionalPMF(probs=zeros + (one,), conditioning_outcome=Outcome.DISEASED)
+        return RefinementWitness(base=base, deltas=deltas, c=1, c_prime=c_prime)
+    except MemoryError:  # raised at once by an allocation the machine cannot make
+        raise InvalidClassCountError(f"no memory for a witness of k={k} classes") from None

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _MAX_CELLS,
     ThresholdCriterion,
     Cohort,
     _best_threshold,
@@ -42,8 +43,6 @@ DEFAULT_CLASS_LADDER = (2, 3, 4, 5, 6, 8, 10, 15, 50, 100, 200, 500, 800)
 """Granularities swept by default, from a median split up to 800-tiles."""
 
 DEFAULT_REPS = 1000
-
-_MAX_CELLS = (2**63 - 1) // 8  # float64 cells numpy can size: bounds n and reps x len(k_values)
 
 _BLOCK_CELLS = 1 << 16  # replications x subjects per block of the sweep
 

@@ -250,6 +250,20 @@ class TestRefineCheck:
         assert code == 1
         assert "invariant-violation" in err
 
+    @pytest.mark.parametrize(
+        "base, deltas, code",
+        [("1e308,1e308", "0,0", "invariant-violation"),
+         ("0.5,0.5", "-1e308,-1e308", "negative-probability")],
+        ids=["base-mass", "pooled-mass"],
+    )
+    def test_overflowing_sums_are_one_error_line(self, capsys, base, deltas, code):
+        status, out, err = invoke(
+            capsys,
+            "refine-check", "--base", base, f"--deltas={deltas}", "--c", "1", "--c-prime", "2",
+        )
+        assert (status, out) == (1, "")
+        assert err.startswith(f"error: {code}: ") and err.count("\n") == 1
+
 
 class TestCounterexample:
     def test_clean_search_reports_none(self, capsys):
@@ -268,12 +282,39 @@ class TestCounterexample:
         assert "deltas=-1.0,1.0" in out
         assert "c=1" in out and "c_prime=2" in out
 
+    @pytest.mark.parametrize("enforce", ["--enforce-assumption", "--no-enforce-assumption"])
+    def test_more_classes_than_numpy_can_size_are_one_error_line(self, capsys, enforce):
+        code, out, err = invoke(
+            capsys, "counterexample", "--k", str(10**21), "--grid-step", "0.5", enforce
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid-class-count: ") and err.count("\n") == 1
+
     def test_bad_grid_step_is_a_domain_error(self, capsys):
         code, _, err = invoke(
             capsys, "counterexample", "--k", "2", "--grid-step", "0.3"
         )
         assert code == 1
         assert "empty-grid" in err
+
+
+class TestPaths:
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "sweep"])
+    def test_a_name_the_file_system_cannot_encode_is_one_error_line(
+        self, tmp_path, capsys, command
+    ):
+        """A cohort written or read, or a report written, under a lone surrogate."""
+        bad, good = str(tmp_path / "x\ud800.csv"), str(tmp_path / "out.json")
+        spec = ["--seed", "1", "--n", "50", "--prevalence", "0.3", "--mu0", "0", "--mu1", "1",
+                "--sigma", "1"]
+        argv = {
+            "simulate": ["simulate", *spec, "--out", bad],
+            "analyze": ["analyze", "--input", bad, "--k", "3", "--out", good],
+            "sweep": ["sweep", *spec, "--k-list", "2", "--reps", "2", "--out", bad],
+        }[command]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: io-error: ") and err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -475,6 +475,8 @@ class TestValueTypes:
     def test_pmf_rejects_bad_mass(self):
         with pytest.raises(InvariantViolationError):
             ConditionalPMF(probs=(0.5, 0.4), conditioning_outcome=Outcome.HEALTHY)
+        with pytest.raises(InvariantViolationError):  # a mass past float64's range
+            ConditionalPMF(probs=(1e308, 1e308), conditioning_outcome=Outcome.HEALTHY)
 
     def test_pmf_accepts_tiny_mass_slack(self):
         probs = (0.1,) * 10

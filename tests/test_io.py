@@ -1143,8 +1143,10 @@ class TestPathArguments:
     @pytest.mark.parametrize("function", PATH_FUNCTIONS)
     @pytest.mark.parametrize(
         "path",
-        [None, 1.5, object(), True, b"cohort.csv", BytesPath(), "cohort\0.csv"],
-        ids=["none", "float", "object", "bool", "bytes", "bytes-pathlike", "null-byte"],
+        [None, 1.5, object(), True, b"cohort.csv", BytesPath(), "cohort\0.csv",
+         "cohort\ud800.csv"],
+        ids=["none", "float", "object", "bool", "bytes", "bytes-pathlike", "null-byte",
+             "lone-surrogate"],
     )
     def test_non_paths_are_io_errors(self, function, path):
         with pytest.raises(FileIOError) as excinfo:
@@ -1157,6 +1159,12 @@ class TestPathArguments:
         with pytest.raises(FileIOError) as excinfo:
             PATH_FUNCTIONS[function](tmp_path / name)
         assert excinfo.value.code == "io-error"
+
+    def test_a_name_of_undecodable_bytes_still_names_a_file(self, tmp_path):
+        """``surrogateescape`` text, as ``os.listdir`` gives for a non-UTF-8 name, encodes."""
+        path = str(tmp_path / "x\udcff.csv")
+        PATH_FUNCTIONS["write_cohort"](path)
+        assert len(load_cohort(path)) == 2
 
     @pytest.mark.parametrize("function", PATH_FUNCTIONS)
     def test_a_file_descriptor_is_left_open_and_unwritten(self, tmp_path, function):

@@ -160,6 +160,8 @@ class TestApplyRefinement:
         base = ConditionalPMF((0.2, 0.8), Outcome.DISEASED)
         with pytest.raises(NegativeProbabilityError):
             apply_refinement(base, (0.5, 0.0), validate_deltas=False)
+        with pytest.raises(NegativeProbabilityError):  # a pooled mass past float64's range
+            apply_refinement(base, (1e308, 1e308), validate_deltas=False)
 
     @given(refinement_inputs())
     @settings(max_examples=200, deadline=None)
@@ -171,6 +173,12 @@ class TestApplyRefinement:
 
 
 class TestWitnessInvariants:
+    def test_deltas_whose_pool_overflows_are_a_negative_probability(self):
+        base = ConditionalPMF((0.5, 0.5), Outcome.DISEASED)
+        with pytest.raises(NegativeProbabilityError) as excinfo:
+            RefinementWitness(base, (-1e308, -1e308), 1, 2)
+        assert excinfo.value.code == "negative-probability"
+
     @pytest.mark.parametrize("value", [None, "x", 1.5, object(), 1, np.True_])
     @pytest.mark.parametrize(
         "call",
@@ -375,6 +383,24 @@ class TestSearchCounterexample:
     def test_rejects_a_non_integer_class_count(self, k):
         with pytest.raises(InvalidClassCountError) as excinfo:
             search_counterexample(k, 0.5)
+        assert excinfo.value.code == "invalid-class-count"
+
+    @pytest.mark.parametrize("enforce_assumption", [True, False])
+    @pytest.mark.parametrize("k", [10**21, 2**61, 2**63])
+    def test_rejects_more_classes_than_numpy_can_size(self, k, enforce_assumption):
+        """Refused by the bound before anything is allocated."""
+        with pytest.raises(InvalidClassCountError) as excinfo:
+            search_counterexample(k, 0.5, enforce_assumption=enforce_assumption)
+        assert excinfo.value.code == "invalid-class-count"
+
+    @pytest.mark.parametrize("allow_negative_deltas", [False, True])
+    def test_a_witness_no_machine_can_hold_is_an_invalid_class_count(self, allow_negative_deltas):
+        """Within the bound, but its first tuple needs 2**62 bytes, past any
+        64-bit address space, so the allocation fails at once."""
+        with pytest.raises(InvalidClassCountError) as excinfo:
+            search_counterexample(
+                2**59, 0.5, allow_negative_deltas=allow_negative_deltas, enforce_assumption=False
+            )
         assert excinfo.value.code == "invalid-class-count"
 
     def test_requires_at_least_two_classes(self):

@@ -99,6 +99,17 @@ class TestCohortSpec:
             spec(**{field: value})
         assert excinfo.value.code == "spec-validation-error"
 
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).max == np.finfo(np.float64).max,
+        reason="longdouble is float64 here, so no longdouble lies past float64's range",
+    )
+    def test_a_longdouble_past_float64_is_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecValidationError) as excinfo:
+                spec(sigma=np.longdouble("1e400"))
+        assert excinfo.value.code == "spec-validation-error"
+
     def test_accepts_the_largest_array_numpy_can_size(self):
         assert spec(n=(2**63 - 1) // 8).n == 2**60 - 1
 
