@@ -67,8 +67,11 @@ _DECODERS = {  # field name -> decode(JSON value, key), for fields not read as t
     "pmf_healthy": lambda v, k: ConditionalPMF(_items(v, k), Outcome.HEALTHY),
 }
 _OUTCOMES = {"0": 0, "1": 1}  # outcome cells, once stripped
-_SLICE = 4096  # cohort rows or report list items per write, which bounds the text held at once
-_READ = 65536  # characters per bulk read of a cohort file
+_SLICE = 4096  # cohort rows per write or float parse, report list items per write
+# Characters per bulk read of a cohort file.  orjson parses a shorter text in an
+# 8 MiB buffer that it keeps from then on (orjson 3.8 does while 12 bytes per
+# character and 256 more come to less than 8 MiB), so _scores gives it none.
+_READ = 699_030
 
 
 @dataclass(frozen=True)
@@ -210,7 +213,8 @@ def _plain(lines: str, delimiter: str, scores: array, outcomes: array) -> bool:
     plain, and say whether they were: ASCII lines of at most
     ``csv.field_size_limit()`` characters, each a score ``float`` takes as finite
     (so no quote), the delimiter, and 0 or 1.  ``csv.reader`` yields each as
-    ``[score, outcome]``, and the row loop would parse it with the same ``float``."""
+    ``[score, outcome]``, and :func:`_scores` gives each score the value the
+    row loop's ``float`` would."""
     try:  # ValueError: non-ASCII text, a score float refuses
         raw = np.frombuffer(lines.encode("ascii"), dtype=np.uint8)
         ends = np.flatnonzero(raw == ord("\n"))
@@ -221,7 +225,8 @@ def _plain(lines: str, delimiter: str, scores: array, outcomes: array) -> bool:
             or labels.max() > 1 or not (raw[ends - 2] == ord(delimiter)).all()
         ):
             return False
-        values = array("d", map(float, lines.replace("\n", delimiter).split(delimiter)[:-1:2]))
+        del raw  # the slice's bytes, freed before its scores are parsed
+        values = _scores(lines, delimiter, ends)
     except ValueError:
         return False
     if not np.isfinite(np.frombuffer(values)).all():
@@ -229,6 +234,43 @@ def _plain(lines: str, delimiter: str, scores: array, outcomes: array) -> bool:
     scores.extend(values)
     outcomes.frombytes(labels.tobytes())
     return True
+
+
+def _scores(lines: str, delimiter: str, ends: np.ndarray) -> array:
+    """``float`` of the score on each line of a plain slice, whose newlines are
+    at ``ends``: from one ``orjson.loads`` of the slice where that is sure to
+    give the same values, else a score at a time.
+
+    No score holds a comma (scores that might are not parsed as JSON), so with
+    each delimiter and each newline but the last read as ``,`` the slice is a
+    JSON list whose every other item, from the first, is a score.  A value that
+    ran on past its line would start at a score and be a list, object or string
+    there: ``array`` refuses those and null.  A text naming ``true`` or
+    ``false`` is refused, and so is one that may hold ``-0`` (the integer 0 to
+    JSON, -0.0 to ``float``) if a score reads 0.  What is left are JSON
+    numbers, a subset of what ``float`` takes, which orjson rounds as ``float``
+    does (``tests/test_io.py`` checks both).  A slice shorter than
+    :data:`_READ`, a file's last, is not parsed as JSON.
+    """
+    if len(lines) >= _READ and (delimiter == "," or "," not in lines):
+        import orjson  # not at module level: sweep and search read no cohort and skip its load
+
+        text = "[%s]" % lines.replace("\n", ",", ends.size - 1).replace(delimiter, ",")
+        try:  # TypeError: a score that is a string, null, list or object
+            parsed = orjson.loads(text)
+            values = array("d", parsed[::2])  # from the list: an ndarray slice boxes each item
+        except (orjson.JSONDecodeError, TypeError):
+            pass
+        else:
+            if "true" not in text and "false" not in text and (
+                "-0" not in text or np.frombuffer(values).all()
+            ):
+                return values
+    values, cuts = array("d"), [0, *(ends[_SLICE - 1 :: _SLICE] + 1).tolist(), len(lines)]
+    for start, stop in zip(cuts, cuts[1:]):  # _SLICE rows at a time, which bounds the split
+        split = lines[start:stop].replace("\n", delimiter).split(delimiter)
+        values.extend(map(float, split[:-1:2]))
+    return values
 
 
 def _filled(row: list) -> bool:

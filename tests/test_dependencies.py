@@ -1,5 +1,6 @@
 """Every third-party module the package imports is a declared dependency, and
-``orjson`` is loaded only by the commands that format float runs."""
+``orjson`` is loaded only by the commands that format float runs or parse a
+plain cohort file, where no parse makes it keep its buffer for short texts."""
 
 import ast
 import os
@@ -7,6 +8,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,3 +75,63 @@ def test_orjson_stays_unloaded_until_a_command_formats_float_runs(tmp_path):
     )
     loaded = [line for line in done.stdout.splitlines() if line.startswith("orjson loaded:")]
     assert loaded == ["orjson loaded: False", "orjson loaded: True"]
+
+
+LAZY_ORJSON_LOAD = """
+import sys
+import scalesense.io
+
+print("orjson loaded:", "orjson" in sys.modules)
+path = sys.argv[1] + "/c.csv"
+with open(path, "w") as handle:  # one full read of plain rows, then a short one
+    handle.write("score,outcome\\n" + "0.5,1\\n" * (scalesense.io._READ // 5))
+scalesense.io.load_cohort(path)
+print("orjson loaded:", "orjson" in sys.modules)
+"""
+
+
+def test_orjson_stays_unloaded_until_a_plain_cohort_file_is_parsed(tmp_path):
+    """``import scalesense.io`` does not load ``orjson``; parsing a plain
+    cohort file, written here without the package, does."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_ORJSON_LOAD, str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    loaded = [line for line in done.stdout.splitlines() if line.startswith("orjson loaded:")]
+    assert loaded == ["orjson loaded: False", "orjson loaded: True"]
+
+
+ORJSON_BUFFER = """
+import sys
+import orjson
+
+def size():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+
+read = int(sys.argv[1])
+before = size()
+orjson.loads("[%s]" % (" " * read))  # as short as a text load_cohort gives orjson
+long = size()
+orjson.loads("[0]")
+print(long - before, size() - long)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_orjson_keeps_a_buffer_only_after_parsing_a_text_shorter_than_a_cohort_read():
+    """orjson parses a short text in an 8 MiB buffer that it keeps for good,
+    and a text of ``io._READ`` characters or more in memory it frees, which is
+    why ``load_cohort`` gives it no shorter one.  A later orjson that moves the
+    limit fails here; its fix is a new ``_READ`` or a version pin."""
+    from scalesense.io import _READ
+
+    done = subprocess.run(
+        [sys.executable, "-c", ORJSON_BUFFER, str(_READ)],
+        capture_output=True, text=True, check=True,
+    )
+    long_kib, short_kib = map(int, done.stdout.split())
+    assert long_kib < 1024 and short_kib >= 8192
