@@ -4,6 +4,8 @@ Carlo partition sweeps."""
 
 __version__ = "0.1.0"
 
+import types
+
 from .core import (
     MASS_TOLERANCE,
     Cohort,
@@ -73,64 +75,8 @@ from .io import (
     write_report,
 )
 
-__all__ = [
-    "__version__",
-    "MASS_TOLERANCE",
-    "Outcome",
-    "Cohort",
-    "PartitionSpec",
-    "ScaleAssignment",
-    "ConditionalPMF",
-    "ThresholdCriterion",
-    "DiagnosticSummary",
-    "ScaleAnalysis",
-    "discretize",
-    "estimate_conditional_pmfs",
-    "sensitivity",
-    "specificity",
-    "select_threshold",
-    "roc_points",
-    "analyze_cohort",
-    "RefinementWitness",
-    "MonotonicityVerdict",
-    "VerdictStatus",
-    "apply_refinement",
-    "check_mass_control",
-    "verify_monotonicity",
-    "search_counterexample",
-    "CohortSpec",
-    "SweepRecord",
-    "ExperimentReport",
-    "DEFAULT_CLASS_LADDER",
-    "DEFAULT_REPS",
-    "replication_seed",
-    "generate_cohort",
-    "run_partition_sweep",
-    "CohortFileSchema",
-    "Provenance",
-    "ReportDocument",
-    "SCHEMA_VERSION",
-    "FLAT_CSV_HEADER",
-    "load_cohort",
-    "write_cohort",
-    "write_report",
-    "read_report",
-    "ScaleSenseError",
-    "InvariantViolationError",
-    "InvalidClassCountError",
-    "InsufficientSamplesError",
-    "EmptyInputError",
-    "DegenerateCohortError",
-    "AlignmentError",
-    "ThresholdOutOfRangeError",
-    "DimensionMismatchError",
-    "NegativeProbabilityError",
-    "InvalidDeltaError",
-    "NotCoveredError",
-    "EmptyGridError",
-    "SpecValidationError",
-    "EmptyExperimentError",
-    "SchemaError",
-    "ParseError",
-    "FileIOError",
+# Each name imported above is public: __all__ lists them in import order, submodules aside.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
 ]

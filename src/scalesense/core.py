@@ -40,6 +40,18 @@ MASS_TOLERANCE = 1e-9
 _MAX_CELLS = (2**63 - 1) // 8
 
 
+def _shown(value) -> str:
+    """A caller's ``value`` as an error message shows it: its ``repr`` cut to
+    80 characters, or an integer past 128 bits by its bit count."""
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"a {value.bit_length()}-bit integer"
+    try:
+        text = repr(value)
+    except ValueError:  # it holds an integer past the 4300 digits str prints
+        text = f"a {type(value).__name__}"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def strict_int(
     value,
     name: str,
@@ -54,14 +66,11 @@ def strict_int(
     and any value outside the inclusive ``minimum``/``maximum`` bounds given.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {_shown(value)}")
     value = int(value)
-    if (minimum is not None and value < minimum) or (
-        maximum is not None and value > maximum
-    ):
+    if (minimum is not None and value < minimum) or (maximum is not None and value > maximum):
         bounds = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
-        shown = value if value.bit_length() <= 128 else f"a {value.bit_length()}-bit integer"
-        raise error(f"{name} must be {bounds}, got {shown}")
+        raise error(f"{name} must be {bounds}, got {_shown(value)}")
     return value
 
 
@@ -341,7 +350,7 @@ def _class_count(cohort: Cohort, k) -> int:
     if len(cohort) == 0:
         raise EmptyInputError("cannot discretize an empty cohort")
     if k > len(cohort):
-        raise InsufficientSamplesError(f"k={k} exceeds cohort size n={len(cohort)}")
+        raise InsufficientSamplesError(f"k={_shown(k)} exceeds cohort size n={len(cohort)}")
     return k
 
 
@@ -481,8 +490,8 @@ def _criterion_values(
 
 
 def _best_threshold(probs1, probs0, criterion: ThresholdCriterion) -> tuple:
-    """``(c, se, sp, criterion value)`` at the optimal ``c`` of each row of
-    class probabilities given each outcome, ties to the smallest ``c``."""
+    """``(c, se, sp, criterion value)`` at the optimal ``c`` of each row of class probabilities
+    given each outcome, equal float values to the smallest (see :func:`select_threshold`)."""
     se = _tail_sums(probs1)[:, :-1]
     sp = _head_sums(probs0)[:, :-1]
     values = _criterion_values(criterion, se, sp)
@@ -500,8 +509,9 @@ def select_threshold(
     """Pick the criterion-optimal threshold among ``c = 1 .. k``.
 
     Youden J and the se*sp product are maximized; distance to the ideal
-    top-left ROC corner is minimized.  Exact criterion ties resolve to the
-    smallest ``c``.
+    top-left ROC corner is minimized.  Equal float criterion values resolve
+    to the smallest ``c``; values equal in exact arithmetic can differ after
+    rounding, and then a larger ``c`` can win.
     """
     _require_pmf_pair(pmf_diseased, pmf_healthy)
     require_type(criterion, ThresholdCriterion, "criterion")

@@ -35,6 +35,7 @@ from .core import (
     PartitionSpec,
     ScaleAnalysis,
     ThresholdCriterion,
+    _shown,
     require_type,
     require_types,
     seed_int,
@@ -59,7 +60,6 @@ _DECODERS = {  # field name -> decode(JSON value, key), for fields not read as t
     "payload": lambda v, k: _payload(v, k),
     "spec": lambda v, k: _build(CohortSpec, v, k),
     "criterion": lambda v, k: _criterion(v, k),
-    "k_values": lambda v, k: _items(v, k),
     "records": lambda v, k: tuple(_build(SweepRecord, r, "record") for r in _items(v, k)),
     "partition": lambda v, k: _build(PartitionSpec, v, k),
     "boundaries": lambda v, k: _items(v, k),
@@ -91,7 +91,7 @@ class CohortFileSchema:
             # load_cohort strips names and reads a "\r" as a line break
             if not column or column != column.strip() or "\r" in column:
                 raise InvariantViolationError(
-                    f"column name {column!r} must be non-empty, unpadded and free of \\r"
+                    f"column name {_shown(column)} must be non-empty, unpadded and free of \\r"
                 )
         if self.score_column == self.outcome_column:
             raise InvariantViolationError("column names must be distinct")
@@ -142,7 +142,7 @@ def _path(path) -> Path:
     with suppress(UnicodeEncodeError):
         if isinstance(name, str) and b"\0" not in os.fsencode(name):
             return Path(name)
-    raise FileIOError(f"need a file path, got {path!r}")
+    raise FileIOError(f"need a file path, got {_shown(path)}")
 
 
 def load_cohort(
@@ -380,6 +380,7 @@ def write_report(
     by ``k``, 12 significant digits.
     """
     require_type(document, ReportDocument, "document", SchemaError)
+    require_type(fmt, str, "fmt", SchemaError)
     if fmt == "structured-json":
         with _writing(path) as handle:
             _dump(document, handle.write)
@@ -393,7 +394,7 @@ def write_report(
         with _writing(path) as handle:
             handle.write("\n".join(lines) + "\n")
     else:
-        raise SchemaError(f"unknown report format {fmt!r}")
+        raise SchemaError(f"unknown report format {_shown(fmt)}")
 
 
 def _dump(value, write, pad: str = "\n") -> None:
@@ -497,9 +498,9 @@ def read_report(path: Union[str, Path]) -> ReportDocument:
     Inverse of :func:`write_report` for the ``structured-json`` format:
     reading a written document reproduces it exactly, floats included.
     Every value is checked by the constructor it is passed to, and every
-    derived key (ROC points, summary, partition ``k``) against the value
-    derived from the rest, so a malformed report fails with a
-    :class:`ScaleSenseError`.
+    derived key (ROC points, summary, partition ``k``, sweep ``k_values``)
+    against the value derived from the rest, so a malformed report fails
+    with a :class:`ScaleSenseError`.
     """
     path = _path(path)
     try:  # RecursionError: from json.loads, or from checking a derived key that nests deeply

@@ -9,7 +9,7 @@ the chosen cut can be studied empirically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,25 +110,21 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Everything needed to reproduce and read one sweep."""
+    """Everything needed to reproduce and read one sweep; ``k_values`` is its records' ``k``s."""
 
     spec: CohortSpec
     criterion: ThresholdCriterion
     reps: int
-    k_values: tuple[int, ...]
+    k_values: tuple[int, ...] = field(init=False)
     records: tuple[SweepRecord, ...]
 
     def __post_init__(self) -> None:
-        require_types(
-            self, spec=CohortSpec, criterion=ThresholdCriterion, k_values=(tuple, list),
-            records=(tuple, list),
-        )
-        reps, k_values = _sweep_shape(self.reps, self.k_values, self.spec.n)
-        if tuple(r.k if isinstance(r, SweepRecord) else None for r in self.records) != k_values:
-            raise InvariantViolationError("need one SweepRecord per k value, in order")
+        require_types(self, spec=CohortSpec, criterion=ThresholdCriterion, records=(tuple, list))
+        records = tuple(require_type(r, SweepRecord, "record") for r in self.records)
+        reps, k_values = _sweep_shape(self.reps, [r.k for r in records], self.spec.n)
         object.__setattr__(self, "reps", reps)
         object.__setattr__(self, "k_values", k_values)
-        object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "records", records)
 
 
 def _sweep_shape(reps, k_values, n: int) -> tuple[int, tuple[int, ...]]:
@@ -246,6 +242,4 @@ def run_partition_sweep(
         )
         for j, k in enumerate(ks)
     )
-    return ExperimentReport(
-        spec=spec, criterion=criterion, reps=reps, k_values=ks, records=records
-    )
+    return ExperimentReport(spec=spec, criterion=criterion, reps=reps, records=records)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -351,6 +352,65 @@ class TestUsageErrors:
         assert invoke(capsys, "--help")[0] == 0
         for sub in ("analyze", "simulate", "sweep", "refine-check", "counterexample"):
             assert invoke(capsys, sub, "--help")[0] == 0
+
+
+SPEC_VALUES = {"--seed": "1", "--n": "20", "--prevalence": "0.5", "--mu0": "0", "--mu1": "1",
+               "--sigma": "1"}
+# Valid, tiny values of each command's options.
+VALID_OPTIONS = {
+    "simulate": {**SPEC_VALUES, "--out": "c.csv"},
+    "sweep": {**SPEC_VALUES, "--k-list": "2,3", "--reps": "2", "--criterion": "youden",
+              "--out": "s.json", "--format": "structured-json", "--timestamp": "t"},
+    "analyze": {"--input": "cohort.csv", "--k": "2", "--criterion": "youden", "--out": "a.json",
+                "--score-column": "score", "--outcome-column": "outcome", "--delimiter": ",",
+                "--timestamp": "t"},
+    "refine-check": {"--base": "0.6,0.4", "--deltas": "0.1,0.2", "--c": "1", "--c-prime": "2"},
+    "counterexample": {"--k": "2", "--grid-step": "0.5"},
+}
+# Texts put in place of one valid value: integers at and past int64 and uint64 (the
+# longest past the digits int() reads), extreme and non-finite floats, and odd lists.
+EXTREME_TEXTS = [
+    "-1", "0", "1", str(2**63), str(2**64 - 1), str(2**64), "1" + "0" * 5000, "-0.0", "5e-324",
+    "1e308", "1e400", "inf", "nan", "", "True", "x", "1e308,1e308", "nan,", ",", "0.5,0.5,",
+]
+
+
+class TestExtremeArguments:
+    @pytest.mark.parametrize("command", list(VALID_OPTIONS))
+    def test_each_run_ends_in_one_summary_error_or_usage_line(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        """Any one option set to any of :data:`EXTREME_TEXTS`, with warnings
+        raised as errors, exits 2 with argparse's usage and error, 1 with one
+        ``error:`` line, or, where the value is valid, as the command does
+        with one summary line.  Output paths such as ``"1"`` are valid, so the
+        run writes into ``tmp_path``."""
+        monkeypatch.chdir(tmp_path)
+        assert run(["simulate", *sum(SPEC_VALUES.items(), ()), "--out", "cohort.csv"]) == 0
+        capsys.readouterr()
+        odd = []
+        for option in VALID_OPTIONS[command]:
+            for text in EXTREME_TEXTS:
+                argv = [command, *sum({**VALID_OPTIONS[command], option: text}.items(), ())]
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        code = run(argv)
+                except Exception as exc:  # SystemExit is no Exception, so it fails the test
+                    odd.append(f"{option}={text[:20]!r}: {type(exc).__name__}: {exc}")
+                    continue
+                out, err = capsys.readouterr()
+                usage = err.startswith("usage: ") and ": error: " in err.splitlines()[-1]
+                error = err.startswith("error: ") and err.count("\n") == 1
+                summary = out.startswith(f"{command}: ") and out.count("\n") == 1
+                expected = {
+                    0: summary and not err,
+                    1: error and not out or command == "refine-check" and summary and not err,
+                    2: usage and not out,
+                }
+                if not expected.get(code):
+                    odd.append(f"{option}={text[:20]!r}: exit {code}, out {out!r}, err {err!r}")
+        assert odd == []
 
 
 class TestEntryPoints:

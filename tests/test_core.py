@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+import warnings
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -52,7 +53,9 @@ from scalesense.core import (
     _criterion_values,
     _edge_counts,
     _head_sums,
+    _shown,
     _tail_sums,
+    strict_int,
 )
 from conftest import integer_score_cohorts, pmf_pairs, pmfs
 
@@ -179,8 +182,12 @@ INVARIANT_CONTAINER_CASES = [
 ]
 
 
+def small_cohort():
+    return Cohort(scores=[0.1, 0.4, 0.7, 0.9], outcomes=[0, 1, 0, 1])
+
+
 def small_analysis():
-    return analyze_cohort(Cohort(scores=[0.1, 0.4, 0.7, 0.9], outcomes=[0, 1, 0, 1]), 2)
+    return analyze_cohort(small_cohort(), 2)
 
 
 def small_sweep():
@@ -251,6 +258,70 @@ PUBLIC_FUNCTIONS = [
 ]
 
 
+# One value of each kind that has slipped past an entry's checks before:
+# integers at and past int64 and uint64 (10**5000 also past the digits str
+# prints), extreme and non-finite floats, numpy scalars, and empty, odd and 2-D
+# containers.  Each size is refused before anything is allocated, or tiny.
+EXTREME_VALUES = {
+    "-1": -1, "0": 0, "1": 1, "2**63": 2**63, "2**64": 2**64, "10**5000": 10**5000,
+    "-0.0": -0.0, "5e-324": 5e-324, "1e308": 1e308, "inf": math.inf, "nan": math.nan,
+    "float32": np.float32(0.1), "longdouble-1e400": np.longdouble("1e400"),
+    "uint64-max": np.uint64(2**64 - 1), "int8-minus-1": np.int8(-1),
+    "empty-tuple": (), "empty-list": [], "nan-tuple": (math.nan,), "huge-pair": (1e308, 1e308),
+    "empty-array": np.array([]), "2d-array": np.zeros((2, 2)), "nan-array": np.array([math.nan]),
+    "frozenset": frozenset({1}), "bytes": b"1", "text": "1", "True": True,
+}
+
+
+def escapes(call, changes) -> list:
+    """``"label: error"`` for each ``(label, kwargs)`` of ``changes`` on which
+    ``call(**kwargs)``, with warnings raised as errors, raises anything but a
+    :class:`ScaleSenseError`."""
+    escaped = []
+    for label, kwargs in changes:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                call(**kwargs)
+        except ScaleSenseError:
+            pass
+        except Exception as exc:
+            escaped.append(f"{label}: {type(exc).__name__}: {exc}")
+    return escaped
+
+
+# The package's public names, spelled out.  __all__ is derived from the
+# imports in __init__, so a helper imported there would turn up in it.
+PUBLIC_NAMES = [
+    "AlignmentError", "Cohort", "CohortFileSchema", "CohortSpec", "ConditionalPMF",
+    "DEFAULT_CLASS_LADDER", "DEFAULT_REPS", "DegenerateCohortError", "DiagnosticSummary",
+    "DimensionMismatchError", "EmptyExperimentError", "EmptyGridError", "EmptyInputError",
+    "ExperimentReport", "FLAT_CSV_HEADER", "FileIOError", "InsufficientSamplesError",
+    "InvalidClassCountError", "InvalidDeltaError", "InvariantViolationError", "MASS_TOLERANCE",
+    "MonotonicityVerdict", "NegativeProbabilityError", "NotCoveredError", "Outcome",
+    "ParseError", "PartitionSpec", "Provenance", "RefinementWitness", "ReportDocument",
+    "SCHEMA_VERSION", "ScaleAnalysis", "ScaleAssignment", "ScaleSenseError", "SchemaError",
+    "SpecValidationError", "SweepRecord", "ThresholdCriterion", "ThresholdOutOfRangeError",
+    "VerdictStatus", "__version__", "analyze_cohort", "apply_refinement", "check_mass_control",
+    "discretize", "estimate_conditional_pmfs", "generate_cohort", "load_cohort", "read_report",
+    "replication_seed", "roc_points", "run_partition_sweep", "search_counterexample",
+    "select_threshold", "sensitivity", "specificity", "verify_monotonicity", "write_cohort",
+    "write_report",
+]
+
+
+class TestPublicSurface:
+    def test_all_names_each_public_name_once(self):
+        assert len(set(scalesense.__all__)) == len(scalesense.__all__)
+        assert sorted(scalesense.__all__) == PUBLIC_NAMES
+        assert scalesense.__all__[0] == "__version__"
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from scalesense import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(scalesense.__all__)
+
+
 class TestValueTypes:
     def test_cohort_rejects_misaligned_arrays(self):
         with pytest.raises(AlignmentError):
@@ -290,7 +361,6 @@ class TestValueTypes:
             lambda: replace(small_analysis(), criterion="youden"),
             lambda: replace(small_sweep(), spec=None),
             lambda: replace(small_sweep(), criterion="youden"),
-            lambda: replace(small_sweep(), k_values=None),
             lambda: replace(small_sweep(), records=None),
             lambda: replace(small_sweep(), records=(None, None)),
             lambda: ScaleAssignment(k=2, class_indices=[1.7, 2]),
@@ -327,7 +397,6 @@ class TestValueTypes:
             "analysis-criterion-text",
             "report-spec-none",
             "report-criterion-text",
-            "report-k-values-none",
             "report-records-none",
             "report-record-none",
             "assignment-fractional-index",
@@ -421,7 +490,7 @@ class TestValueTypes:
 
     def test_list_parts_are_accepted_as_tuples(self):
         report = small_sweep()
-        as_lists = replace(report, k_values=list(report.k_values), records=list(report.records))
+        as_lists = replace(report, records=list(report.records))
         assert as_lists == report
         assert isinstance(as_lists.records, tuple)
 
@@ -529,6 +598,87 @@ class TestPublicFunctions:
         for call in calls:
             with pytest.raises(InvariantViolationError, match="criterion has unexpected type"):
                 call()
+
+
+# str() refuses an integer of more than 4300 digits, so a message that formats
+# this one fails unless it is shown by its bit count.
+UNPRINTABLE = 10**5000
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize("name", PUBLIC_FUNCTIONS)
+    def test_an_extreme_argument_is_refused_as_a_domain_error(self, name, tmp_path, monkeypatch):
+        """Any one parameter set to any of :data:`EXTREME_VALUES`, with
+        warnings raised as errors, either runs or raises a
+        :class:`ScaleSenseError`.  ``"1"`` is a valid path for the writers, so
+        they write into ``tmp_path``."""
+        monkeypatch.chdir(tmp_path)
+        function = getattr(scalesense, name)
+        valid = public_function_arguments(tmp_path)[name]
+        changes = (
+            (f"{parameter}={label}", {**valid, parameter: value})
+            for parameter in inspect.signature(function).parameters
+            for label, value in EXTREME_VALUES.items()
+        )
+        assert escapes(function, changes) == []
+
+    @pytest.mark.parametrize("cls", PUBLIC_DATACLASSES, ids=lambda cls: cls.__name__)
+    def test_an_extreme_field_is_refused_as_a_domain_error(self, cls):
+        """Any one field set to any of :data:`EXTREME_VALUES`, with warnings
+        raised as errors, either constructs or raises a :class:`ScaleSenseError`."""
+        example = public_dataclass_examples()[cls]
+        changes = (
+            (f"{field.name}={label}", {field.name: value})
+            for field in fields(cls) if field.init
+            for label, value in EXTREME_VALUES.items()
+        )
+        assert escapes(lambda **change: replace(example, **change), changes) == []
+
+    @pytest.mark.parametrize(
+        "call, code",
+        [
+            (lambda path: discretize(small_cohort(), UNPRINTABLE), "insufficient-samples"),
+            (lambda path: analyze_cohort(small_cohort(), UNPRINTABLE), "insufficient-samples"),
+            (lambda path: discretize(small_cohort(), (UNPRINTABLE,)), "invalid-class-count"),
+            (lambda path: scalesense.load_cohort(UNPRINTABLE), "io-error"),
+            (lambda path: scalesense.load_cohort([UNPRINTABLE]), "io-error"),
+            (lambda path: scalesense.read_report(UNPRINTABLE), "io-error"),
+            (lambda path: scalesense.write_cohort(small_cohort(), UNPRINTABLE), "io-error"),
+            (lambda path: scalesense.write_report(small_document(), UNPRINTABLE), "io-error"),
+            (lambda path: scalesense.write_report(small_document(), path, UNPRINTABLE),
+             "schema-error"),
+            (lambda path: scalesense.write_report(small_document(), path, np.array([])),
+             "schema-error"),
+            (lambda path: scalesense.write_report(small_document(), path, np.zeros((2, 2))),
+             "schema-error"),
+        ],
+        ids=[
+            "discretize-k", "analyze-cohort-k", "discretize-k-in-a-tuple", "load-cohort-path",
+            "load-cohort-path-in-a-list", "read-report-path", "write-cohort-path",
+            "write-report-path", "write-report-unprintable-fmt", "write-report-empty-array-fmt",
+            "write-report-2d-array-fmt",
+        ],
+    )
+    def test_a_value_no_message_can_print_gets_the_entry_code(self, tmp_path, call, code):
+        """Each of these once escaped as a bare ``ValueError``: from ``str()`` of
+        a 5001-digit integer, alone or in a container, or from comparing an
+        array with a format name."""
+        with pytest.raises(ScaleSenseError) as excinfo:
+            call(tmp_path / "report.json")
+        assert excinfo.value.code == code
+        assert "digits" not in str(excinfo.value)
+        assert not (tmp_path / "report.json").exists()
+
+    def test_shown_values_are_bounded(self):
+        assert _shown(2**128 - 1) == str(2**128 - 1)
+        assert _shown(2**128) == "a 129-bit integer"
+        assert _shown("x" * 1000) == "'" + "x" * 76 + "..."
+        assert _shown((UNPRINTABLE,)) == "a tuple"
+        assert _shown(np.int64(-3)) == repr(np.int64(-3))
+
+    def test_strict_int_shows_values_past_128_bits_by_their_bit_count(self):
+        with pytest.raises(ThresholdOutOfRangeError, match=r"got a 16610-bit integer$"):
+            strict_int(-UNPRINTABLE, "c", ThresholdOutOfRangeError, minimum=1)
 
 
 class TestDiscretize:

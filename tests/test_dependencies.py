@@ -1,6 +1,7 @@
-"""Every third-party module the package imports is a declared dependency, and
-``orjson`` is loaded only by the commands that format float runs or parse a
-plain cohort file, where no parse makes it keep its buffer for short texts."""
+"""Every third-party module the package imports is a declared dependency,
+``import scalesense.cli`` loads none but numpy, and ``orjson`` is loaded only
+by the commands that format float runs or parse a plain cohort file, where no
+parse makes it keep its buffer for short texts."""
 
 import ast
 import os
@@ -44,6 +45,38 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert third_party <= declared_dependencies()
 
 
+def run_python(script, *args):
+    """``script`` run by a fresh interpreter that imports the package from
+    ``src``, given ``args``; its completed process, which must exit 0."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )}
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+
+
+CLI_IMPORTS = """
+import sys
+
+before = set(sys.modules)
+import scalesense.cli
+
+print(*sorted({name.split(".")[0] for name in set(sys.modules) - before}))
+"""
+
+
+def test_importing_the_cli_loads_no_third_party_module_but_numpy():
+    """``import scalesense.cli``, which every command runs before its work and
+    which the benchmark times as its start-up, loads numpy and nothing else
+    from outside the standard library: a module-level import of any other
+    fails here."""
+    loaded = set(run_python(CLI_IMPORTS).stdout.split())
+    assert "numpy" in loaded and "scalesense" in loaded, "the import went unseen"
+    assert loaded - set(sys.stdlib_module_names) - {"scalesense"} == {"numpy"}
+
+
 LAZY_ORJSON = """
 import sys
 from scalesense.cli import run
@@ -66,13 +99,7 @@ def test_orjson_stays_unloaded_until_a_command_formats_float_runs(tmp_path):
     """A fresh interpreter runs ``sweep`` (JSON and flat CSV), ``refine-check``
     and ``counterexample`` without loading ``orjson``, then ``simulate`` loads
     it: an eager import would cost every command its load time."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    )}
-    done = subprocess.run(
-        [sys.executable, "-c", LAZY_ORJSON, str(tmp_path)],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    done = run_python(LAZY_ORJSON, tmp_path)
     loaded = [line for line in done.stdout.splitlines() if line.startswith("orjson loaded:")]
     assert loaded == ["orjson loaded: False", "orjson loaded: True"]
 
@@ -93,13 +120,7 @@ print("orjson loaded:", "orjson" in sys.modules)
 def test_orjson_stays_unloaded_until_a_plain_cohort_file_is_parsed(tmp_path):
     """``import scalesense.io`` does not load ``orjson``; parsing a plain
     cohort file, written here without the package, does."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    )}
-    done = subprocess.run(
-        [sys.executable, "-c", LAZY_ORJSON_LOAD, str(tmp_path)],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    done = run_python(LAZY_ORJSON_LOAD, tmp_path)
     loaded = [line for line in done.stdout.splitlines() if line.startswith("orjson loaded:")]
     assert loaded == ["orjson loaded: False", "orjson loaded: True"]
 

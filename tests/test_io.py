@@ -783,12 +783,13 @@ MALFORMED_REPORTS = [
     (sweep_document, ("payload", "spec", "seed"), 1.9, "spec-validation-error"),
     (sweep_document, ("provenance", "seed"), "x", "invariant-violation"),
     (sweep_document, ("payload", "records"), None, "schema-error"),
-    (sweep_document, ("payload", "k_values"), 5, "schema-error"),
     (sweep_document, ("payload", "records", 0, "k"), "abc", "invariant-violation"),
     (sweep_document, ("payload", "records", 0, "mean_se"), "x", "invariant-violation"),
     # k_values are (4, 2, 3): n=3 leaves k=4 above n; record 1 has k=2.
     (sweep_document, ("payload", "spec", "n"), 3, "invalid-class-count"),
-    (sweep_document, ("payload", "k_values", 0), 500, "invalid-class-count"),
+    # A class ladder that disagrees with the records' k, from which it is derived.
+    (sweep_document, ("payload", "k_values"), 5, "invariant-violation"),
+    (sweep_document, ("payload", "k_values", 0), 500, "invariant-violation"),
     (sweep_document, ("payload", "records", 1, "mean_c"), 9.0, "invariant-violation"),
     # An empty class ladder, which no sweep writes.
     (sweep_document, ("payload",),
@@ -886,7 +887,6 @@ def sweep_documents(draw):
         spec=spec,
         criterion=draw(st.sampled_from(ThresholdCriterion)),
         reps=draw(st.integers(1, 10**6)),
-        k_values=tuple(k_values),
         records=records,
     )
     return ReportDocument("1", draw(PROVENANCES), payload)
@@ -1203,7 +1203,6 @@ class TestReports:
                 spec=spec,
                 criterion=ThresholdCriterion.SE_SP_PRODUCT,
                 reps=1,
-                k_values=(k,),
                 records=(record,),
             ),
         )
