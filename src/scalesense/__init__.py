@@ -14,7 +14,6 @@ from .core import (
     Outcome,
     PartitionSpec,
     ScaleAnalysis,
-    ScaleAssignment,
     ThresholdCriterion,
     analyze_cohort,
     discretize,

@@ -205,29 +205,6 @@ class PartitionSpec:
         object.__setattr__(self, "boundaries", tuple(boundaries.tolist()))
 
 
-@dataclass(frozen=True, eq=False)
-class ScaleAssignment:
-    """Class index in ``1 .. k`` for each subject, aligned with its cohort.
-
-    ``class_indices`` is copied by :func:`vector` into int64, from a 1-D
-    ndarray or a sequence of integers (bools and fractions are rejected).
-    """
-
-    k: int
-    class_indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        k = strict_int(self.k, "class count", InvariantViolationError, minimum=1)
-        idx = vector(self.class_indices, int, "class indices", InvariantViolationError)
-        if idx.size and (idx.min() < 1 or idx.max() > k):
-            raise InvariantViolationError(f"class indices must lie in 1..{k}")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "class_indices", idx)
-
-    def __len__(self) -> int:
-        return int(self.class_indices.shape[0])
-
-
 @dataclass(frozen=True)
 class ConditionalPMF:
     """Class probabilities of the discretized score given one outcome.
@@ -335,12 +312,9 @@ def _tail_sums(probs) -> np.ndarray:
 
 
 def _head_sums(probs) -> np.ndarray:
-    """Specificity at every threshold: ``out[..., c-1] = P(class < c)``."""
-    p = np.asarray(probs, dtype=np.float64)
-    out = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
-    out[..., 1:] = np.minimum(np.cumsum(p, axis=-1), 1.0)
-    out[..., -1] = 1.0
-    return out
+    """Specificity at every threshold: ``out[..., c-1] = P(class < c)``, the
+    :func:`_tail_sums` of the classes in reverse order, read back to front."""
+    return _tail_sums(np.asarray(probs, dtype=np.float64)[..., ::-1])[..., ::-1]
 
 
 def _class_count(cohort: Cohort, k) -> int:
@@ -420,40 +394,28 @@ def _pmf_pair(counts1, n1: int, counts0, n0: int) -> tuple[ConditionalPMF, Condi
     )
 
 
-def discretize(cohort: Cohort, k: int) -> tuple[PartitionSpec, ScaleAssignment]:
-    """Bin cohort scores into ``k`` classes at pooled sample quantiles.
-
-    Boundary ``j`` is the sorted pooled score of 1-based rank
-    ``ceil(j * n / k)``; a subject lands in the smallest class ``j`` with
-    ``score <= boundary_j``, else class ``k``.  Tied scores always share a
-    class, so heavy ties can leave interior classes empty.
-    """
+def discretize(cohort: Cohort, k: int) -> PartitionSpec:
+    """Split cohort scores into ``k`` classes at pooled sample quantiles:
+    boundary ``j`` is the sorted score of 1-based rank ``ceil(j * n / k)``."""
     k = _class_count(cohort, k)
-    boundaries = np.sort(cohort.scores)[_class_ranks(len(cohort), k)[1:-1] - 1]
-    indices = 1 + np.searchsorted(boundaries, cohort.scores, side="left")
-    return PartitionSpec(boundaries=boundaries), ScaleAssignment(k=k, class_indices=indices)
+    return PartitionSpec(boundaries=np.sort(cohort.scores)[_class_ranks(len(cohort), k)[1:-1] - 1])
 
 
 def estimate_conditional_pmfs(
-    assignment: ScaleAssignment, cohort: Cohort
+    partition: PartitionSpec, cohort: Cohort
 ) -> tuple[ConditionalPMF, ConditionalPMF]:
-    """Empirical class frequencies within each outcome group.
-
-    Returns ``(pmf_diseased, pmf_healthy)``.
-    """
-    require_type(assignment, ScaleAssignment, "assignment")
+    """``(pmf_diseased, pmf_healthy)``: the class frequencies of ``cohort``
+    per outcome under ``partition``, which need not come from ``cohort``.  A
+    subject lands in the smallest class ``j`` with ``score <= boundary_j``,
+    else class ``k``, so tied scores share a class and heavy ties can leave
+    classes empty."""
+    require_type(partition, PartitionSpec, "partition")
     require_type(cohort, Cohort, "cohort")
-    if len(assignment) != len(cohort):
-        raise AlignmentError(
-            f"{len(assignment)} class indices vs {len(cohort)} cohort rows"
-        )
-    n1 = cohort.n_diseased
-    n0 = len(cohort) - n1
+    n1, n0 = cohort.n_diseased, cohort.n_healthy
     _require_both_groups(n1, n0)
-    k = assignment.k
-    idx = assignment.class_indices
-    counts1 = np.bincount(idx[cohort.outcomes == 1], minlength=k + 1)[1:]
-    counts0 = np.bincount(idx[cohort.outcomes == 0], minlength=k + 1)[1:]
+    k = partition.k
+    classes = np.searchsorted(np.array(partition.boundaries), cohort.scores, side="left")
+    counts0, counts1 = np.bincount(cohort.outcomes * k + classes, minlength=2 * k).reshape(2, k)
     return _pmf_pair(counts1, n1, counts0, n0)
 
 

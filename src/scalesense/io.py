@@ -288,10 +288,11 @@ def _row_fault(row: list, rownum: int, score_idx: int, outcome_idx: int) -> Pars
     try:
         score = float(raw_score)
     except ValueError:
-        return ParseError(f"row {rownum}: score {raw_score!r} is not a number")
+        return ParseError(f"row {rownum}: score {_shown(raw_score)} is not a number")
     if not math.isfinite(score):
-        return ParseError(f"row {rownum}: score {raw_score!r} is not finite")
-    return ParseError(f"row {rownum}: outcome must be 0 or 1, got {row[outcome_idx].strip()!r}")
+        return ParseError(f"row {rownum}: score {_shown(raw_score)} is not finite")
+    outcome = _shown(row[outcome_idx].strip())
+    return ParseError(f"row {rownum}: outcome must be 0 or 1, got {outcome}")
 
 
 @contextmanager
@@ -481,7 +482,7 @@ def _criterion(value, key: str) -> ThresholdCriterion:
     try:
         return ThresholdCriterion(value)
     except ValueError:
-        raise SchemaError(f"report {key} has unknown criterion {value!r}") from None
+        raise SchemaError(f"report {key} has unknown criterion {_shown(value)}") from None
 
 
 def _payload(mapping, key: str) -> Union[ExperimentReport, ScaleAnalysis]:
@@ -489,7 +490,7 @@ def _payload(mapping, key: str) -> Union[ExperimentReport, ScaleAnalysis]:
     for cls, tag in _KINDS.items():
         if kind == tag:
             return _build(cls, mapping, key)
-    raise SchemaError(f"unknown payload kind {kind!r}")
+    raise SchemaError(f"unknown payload kind {_shown(kind)}")
 
 
 def read_report(path: Union[str, Path]) -> ReportDocument:

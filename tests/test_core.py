@@ -31,7 +31,6 @@ from scalesense import (
     Provenance,
     RefinementWitness,
     ReportDocument,
-    ScaleAssignment,
     ScaleSenseError,
     ThresholdCriterion,
     ThresholdOutOfRangeError,
@@ -155,8 +154,6 @@ VECTOR_ENTRIES = {
                         [0, 1, 1], False, InvariantViolationError),
     "partition": (lambda v: PartitionSpec(boundaries=v).boundaries, [0, 1, 1], True,
                   InvariantViolationError),
-    "assignment": (lambda v: ScaleAssignment(k=3, class_indices=v).class_indices, [3, 1, 2],
-                   False, InvariantViolationError),
     "pmf": (lambda v: ConditionalPMF(probs=v, conditioning_outcome=Outcome.DISEASED).probs,
             [0, 1, 0], True, InvariantViolationError),
     "witness-deltas": (lambda v: RefinementWitness(base=HALVES, deltas=v, c=1, c_prime=1).deltas,
@@ -205,11 +202,11 @@ def public_dataclass_examples():
     """One valid instance of every dataclass that ``scalesense`` exports."""
     analysis, report = small_analysis(), small_sweep()
     cohort = Cohort(scores=[0.1, 0.4, 0.7, 0.9], outcomes=[0, 1, 0, 1])
-    partition, assignment = discretize(cohort, 2)
+    partition = discretize(cohort, 2)
     witness = RefinementWitness.build(analysis.pmf_diseased, (0.0, 0.25), c=1, c_prime=2)
     document = small_document()
     examples = [
-        cohort, partition, assignment, analysis.pmf_diseased, analysis.summary, analysis,
+        cohort, partition, analysis.pmf_diseased, analysis.summary, analysis,
         witness, verify_monotonicity(witness), report.spec, report.records[0], report,
         CohortFileSchema(), document.provenance, document,
     ]
@@ -233,7 +230,7 @@ def public_function_arguments(folder):
     scalesense.write_report(small_document(), folder / "report.json")
     return {
         "discretize": dict(cohort=cohort, k=2),
-        "estimate_conditional_pmfs": dict(assignment=discretize(cohort, 2)[1], cohort=cohort),
+        "estimate_conditional_pmfs": dict(partition=discretize(cohort, 2), cohort=cohort),
         "sensitivity": dict(pmf=pmf1, c=1),
         "specificity": dict(pmf=pmf0, c=1),
         "select_threshold": dict(pmf_diseased=pmf1, pmf_healthy=pmf0),
@@ -300,7 +297,7 @@ PUBLIC_NAMES = [
     "InvalidClassCountError", "InvalidDeltaError", "InvariantViolationError", "MASS_TOLERANCE",
     "MonotonicityVerdict", "NegativeProbabilityError", "NotCoveredError", "Outcome",
     "ParseError", "PartitionSpec", "Provenance", "RefinementWitness", "ReportDocument",
-    "SCHEMA_VERSION", "ScaleAnalysis", "ScaleAssignment", "ScaleSenseError", "SchemaError",
+    "SCHEMA_VERSION", "ScaleAnalysis", "ScaleSenseError", "SchemaError",
     "SpecValidationError", "SweepRecord", "ThresholdCriterion", "ThresholdOutOfRangeError",
     "VerdictStatus", "__version__", "analyze_cohort", "apply_refinement", "check_mass_control",
     "discretize", "estimate_conditional_pmfs", "generate_cohort", "load_cohort", "read_report",
@@ -349,7 +346,6 @@ class TestValueTypes:
             lambda: Cohort(scores=[True, 2.0], outcomes=[1, 0]),
             lambda: Cohort(scores=(1.0, 2.0), outcomes=(np.True_, 0)),
             lambda: PartitionSpec(boundaries=(True,)),
-            lambda: ScaleAssignment(k=2.0, class_indices=[1, 2]),
             lambda: ConditionalPMF(probs=(1.0, False), conditioning_outcome=Outcome.HEALTHY),
             lambda: ConditionalPMF(probs=(1.0,), conditioning_outcome="x"),
             lambda: ConditionalPMF(probs=(1.0,), conditioning_outcome=1.0),
@@ -363,9 +359,6 @@ class TestValueTypes:
             lambda: replace(small_sweep(), criterion="youden"),
             lambda: replace(small_sweep(), records=None),
             lambda: replace(small_sweep(), records=(None, None)),
-            lambda: ScaleAssignment(k=2, class_indices=[1.7, 2]),
-            lambda: ScaleAssignment(k=2, class_indices=None),
-            lambda: ScaleAssignment(k=2, class_indices=[True, 2]),
             lambda: MonotonicityVerdict(status=None, se_base="x", se_refined=None),
             lambda: MonotonicityVerdict(status="holds", se_base=1.0, se_refined=1.0),
             lambda: MonotonicityVerdict(status=VerdictStatus.HOLDS, se_base="x", se_refined=1.0),
@@ -385,7 +378,6 @@ class TestValueTypes:
             "cohort-bool-mixed-into-scores",
             "cohort-numpy-bool-mixed-into-outcomes",
             "partition-bool-boundary",
-            "assignment-float-k",
             "pmf-bool-entry",
             "pmf-text-outcome",
             "pmf-float-outcome",
@@ -399,9 +391,6 @@ class TestValueTypes:
             "report-criterion-text",
             "report-records-none",
             "report-record-none",
-            "assignment-fractional-index",
-            "assignment-indices-none",
-            "assignment-bool-mixed-into-indices",
             "verdict-status-none",
             "verdict-status-text",
             "verdict-text-sensitivity",
@@ -448,7 +437,6 @@ class TestValueTypes:
         assert Cohort(scores=range(3), outcomes=[0, 1, 1]).scores.tolist() == [0.0, 1.0, 2.0]
         assert Cohort(scores=[1.0, 2.0], outcomes=range(2)).outcomes.tolist() == [0, 1]
         assert PartitionSpec(boundaries=range(3)).boundaries == (0.0, 1.0, 2.0)
-        assert ScaleAssignment(k=3, class_indices=range(1, 4)).class_indices.tolist() == [1, 2, 3]
         assert run_partition_sweep(TINY_SPEC, k_values=range(2, 5), reps=1).k_values == (2, 3, 4)
 
     def test_fractional_float32_entries_keep_their_float32_value(self):
@@ -458,14 +446,14 @@ class TestValueTypes:
     def test_array_entries_past_int64_are_refused_as_their_list(self):
         for form in (np.array([1, 2**64 - 1], np.uint64), [1, 2**64 - 1]):
             with pytest.raises(InvariantViolationError, match="within int64"):
-                ScaleAssignment(k=2, class_indices=form)
+                Cohort(scores=[1.0, 2.0], outcomes=form)
 
     @pytest.mark.parametrize("dtype", ["float64", "int8", "uint64", "U1", "O", "?", "c16"])
     def test_empty_arrays_of_any_dtype_are_accepted(self, dtype):
         empty = np.array([], dtype)
-        assert len(Cohort(scores=empty, outcomes=empty)) == 0
+        cohort = Cohort(scores=empty, outcomes=empty)
+        assert len(cohort) == 0 and cohort.outcomes.dtype == np.int64
         assert PartitionSpec(boundaries=empty).k == 1
-        assert len(ScaleAssignment(k=1, class_indices=empty)) == 0
         with pytest.raises(EmptyExperimentError):
             run_partition_sweep(TINY_SPEC, k_values=empty, reps=1)
 
@@ -532,10 +520,6 @@ class TestValueTypes:
         ):
             with pytest.raises(InvariantViolationError):
                 replace(analysis, pmf_diseased=pmf_diseased, pmf_healthy=pmf_healthy)
-
-    def test_assignment_rejects_out_of_range_classes(self):
-        with pytest.raises(InvariantViolationError):
-            ScaleAssignment(k=2, class_indices=np.array([1, 3]))
 
     def test_pmf_rejects_negative_entries(self):
         with pytest.raises(InvariantViolationError):
@@ -681,38 +665,41 @@ class TestExtremeValues:
             strict_int(-UNPRINTABLE, "c", ThresholdOutOfRangeError, minimum=1)
 
 
+def fitted_pmfs(cohort, k):
+    """The partition :func:`discretize` fits to ``cohort`` and the pmfs it
+    gives that same cohort."""
+    partition = discretize(cohort, k)
+    return partition, estimate_conditional_pmfs(partition, cohort)
+
+
 class TestDiscretize:
     def test_even_split_on_distinct_scores(self):
         cohort = Cohort(scores=[1.0, 2.0, 3.0, 4.0], outcomes=[0, 0, 1, 1])
-        spec, assignment = discretize(cohort, 2)
+        spec, (pmf1, pmf0) = fitted_pmfs(cohort, 2)
         assert spec.boundaries == (2.0,)
-        assert assignment.class_indices.tolist() == [1, 1, 2, 2]
+        assert (pmf1.probs, pmf0.probs) == ((0.0, 1.0), (1.0, 0.0))
 
     def test_single_class_puts_everyone_together(self):
         cohort = Cohort(scores=[3.0, 1.0, 2.0], outcomes=[0, 1, 0])
-        spec, assignment = discretize(cohort, 1)
+        spec, (pmf1, pmf0) = fitted_pmfs(cohort, 1)
         assert spec.boundaries == ()
-        assert assignment.class_indices.tolist() == [1, 1, 1]
+        assert (pmf1.probs, pmf0.probs) == ((1.0,), (1.0,))
 
     def test_ties_never_split(self):
         cohort = Cohort(scores=[1.0, 1.0, 1.0, 2.0], outcomes=[0, 0, 1, 1])
-        spec, assignment = discretize(cohort, 2)
+        spec, (pmf1, pmf0) = fitted_pmfs(cohort, 2)
         assert spec.boundaries == (1.0,)
-        assert assignment.class_indices.tolist() == [1, 1, 1, 2]
+        # the diseased subject tied at 1.0 joins the healthy ones in class 1
+        assert (pmf1.probs, pmf0.probs) == ((0.5, 0.5), (1.0, 0.0))
 
     def test_heavy_ties_leave_classes_empty(self):
         cohort = Cohort(
             scores=[1.0, 1.0, 1.0, 1.0, 5.0, 6.0], outcomes=[0, 1, 0, 1, 0, 1]
         )
-        spec, assignment = discretize(cohort, 3)
+        spec, (pmf1, pmf0) = fitted_pmfs(cohort, 3)
         assert spec.boundaries == (1.0, 1.0)
         # class 2 is squeezed between tied boundaries and stays empty
-        assert 2 not in set(assignment.class_indices.tolist())
-
-    def test_row_order_is_preserved(self):
-        cohort = Cohort(scores=[4.0, 1.0, 3.0, 2.0], outcomes=[0, 0, 1, 1])
-        _, assignment = discretize(cohort, 2)
-        assert assignment.class_indices.tolist() == [2, 1, 2, 1]
+        assert pmf1.probs == pmf0.probs == (2 / 3, 0.0, 1 / 3)
 
     def test_rejects_nonpositive_k(self):
         cohort = Cohort(scores=[1.0, 2.0], outcomes=[0, 1])
@@ -731,33 +718,39 @@ class TestDiscretize:
 
     @given(integer_score_cohorts(), st.integers(1, 8))
     @settings(max_examples=150, deadline=None)
-    def test_assignment_depends_only_on_ranks(self, cohort, k):
-        if k > len(cohort):
-            k = len(cohort)
-        _, base = discretize(cohort, k)
+    def test_classes_depend_only_on_ranks(self, cohort, k):
+        k = min(k, len(cohort))
+        both_groups = cohort.n_diseased > 0 and cohort.n_healthy > 0
+        base = discretize(cohort, k)
         for transform in (lambda s: 2.0 * s + 3.0, lambda s: s**3):
             mapped = Cohort(scores=transform(cohort.scores), outcomes=cohort.outcomes)
-            _, moved = discretize(mapped, k)
-            assert np.array_equal(base.class_indices, moved.class_indices)
+            moved = discretize(mapped, k)
+            assert moved.boundaries == tuple(transform(np.array(base.boundaries)).tolist())
+            if both_groups:
+                assert estimate_conditional_pmfs(moved, mapped) == (
+                    estimate_conditional_pmfs(base, cohort)
+                )
 
     @given(st.integers(1, 8), st.integers(1, 8), st.randoms(use_true_random=False))
     @settings(max_examples=80, deadline=None)
     def test_distinct_scores_balance_when_k_divides_n(self, k, m, rnd):
         n = k * m
+        assume(n >= 2)  # both outcome groups
         scores = rnd.sample(range(10 * n), n)
         cohort = Cohort(
             scores=[float(s) for s in scores], outcomes=[i % 2 for i in range(n)]
         )
-        _, assignment = discretize(cohort, k)
-        counts = np.bincount(assignment.class_indices, minlength=k + 1)[1:]
-        assert counts.tolist() == [m] * k
+        _, (pmf1, pmf0) = fitted_pmfs(cohort, k)
+        counts1 = np.multiply(pmf1.probs, cohort.n_diseased)  # a pmf times its group size
+        counts0 = np.multiply(pmf0.probs, cohort.n_healthy)
+        assert np.rint(counts1 + counts0).tolist() == [m] * k
 
 
 class TestEstimate:
     def test_class_frequencies_by_group(self):
         cohort = Cohort(scores=[1, 2, 3, 4, 5, 6], outcomes=[1, 1, 0, 1, 0, 0])
-        assignment = ScaleAssignment(k=3, class_indices=np.array([1, 2, 2, 3, 3, 3]))
-        pmf1, pmf0 = estimate_conditional_pmfs(assignment, cohort)
+        partition = PartitionSpec(boundaries=(1.0, 3.0))  # classes 1, 2 2, 3 3 3
+        pmf1, pmf0 = estimate_conditional_pmfs(partition, cohort)
         assert pmf1.conditioning_outcome is Outcome.DISEASED
         assert pmf0.conditioning_outcome is Outcome.HEALTHY
         np.testing.assert_allclose(pmf1.probs, (1 / 3, 1 / 3, 1 / 3), rtol=0, atol=0)
@@ -765,31 +758,42 @@ class TestEstimate:
 
     def test_empty_classes_get_zero_mass(self):
         cohort = Cohort(scores=[1, 2], outcomes=[1, 0])
-        assignment = ScaleAssignment(k=3, class_indices=np.array([1, 3]))
-        pmf1, pmf0 = estimate_conditional_pmfs(assignment, cohort)
+        pmf1, pmf0 = estimate_conditional_pmfs(PartitionSpec(boundaries=(1.0, 1.0)), cohort)
         assert pmf1.probs == (1.0, 0.0, 0.0)
         assert pmf0.probs == (0.0, 0.0, 1.0)
 
     def test_rejects_single_group_cohort(self):
         cohort = Cohort(scores=[1, 2], outcomes=[1, 1])
-        assignment = ScaleAssignment(k=2, class_indices=np.array([1, 2]))
         with pytest.raises(DegenerateCohortError):
-            estimate_conditional_pmfs(assignment, cohort)
+            estimate_conditional_pmfs(PartitionSpec(boundaries=(1.0,)), cohort)
 
-    def test_rejects_misaligned_assignment(self):
-        cohort = Cohort(scores=[1, 2, 3], outcomes=[1, 0, 1])
-        assignment = ScaleAssignment(k=2, class_indices=np.array([1, 2]))
-        with pytest.raises(AlignmentError):
-            estimate_conditional_pmfs(assignment, cohort)
+    def test_classifies_a_held_out_cohort(self):
+        train = Cohort(scores=[1, 2, 3, 4, 5, 6], outcomes=[0, 0, 1, 0, 1, 1])
+        partition = discretize(train, 3)
+        assert partition.boundaries == (2.0, 4.0)
+        # below the first boundary, on each boundary, between and above the last
+        other = Cohort(
+            scores=[0.5, 2.0, 2.5, 4.0, 4.5, 9.0, 1e9], outcomes=[1, 1, 0, 1, 0, 1, 0]
+        )
+        pmf1, pmf0 = estimate_conditional_pmfs(partition, other)
+        assert pmf1.probs == (0.5, 0.25, 0.25)  # 0.5 and 2.0 | 4.0 | 9.0
+        assert pmf0.probs == (0.0, 1 / 3, 2 / 3)  # none | 2.5 | 4.5 and 1e9
+
+    @given(tie_heavy_cohorts(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_row_order_does_not_matter(self, cohort, data):
+        assume(cohort.n_diseased > 0 and cohort.n_healthy > 0)
+        k = data.draw(st.integers(1, len(cohort)), label="k")
+        order = data.draw(st.permutations(range(len(cohort))), label="order")
+        shuffled = Cohort(scores=cohort.scores[order], outcomes=cohort.outcomes[order])
+        assert fitted_pmfs(shuffled, k) == fitted_pmfs(cohort, k)
 
     @given(integer_score_cohorts(min_n=4), st.integers(2, 6))
     @settings(max_examples=100, deadline=None)
     def test_masses_sum_to_one_per_group(self, cohort, k):
         if cohort.n_diseased == 0 or cohort.n_healthy == 0:
             return
-        k = min(k, len(cohort))
-        _, assignment = discretize(cohort, k)
-        pmf1, pmf0 = estimate_conditional_pmfs(assignment, cohort)
+        _, (pmf1, pmf0) = fitted_pmfs(cohort, min(k, len(cohort)))
         assert abs(math.fsum(pmf1.probs) - 1.0) <= 1e-9
         assert abs(math.fsum(pmf0.probs) - 1.0) <= 1e-9
 
@@ -818,6 +822,26 @@ class TestSensitivitySpecificity:
             sensitivity(self.pmf, 5)
         with pytest.raises(ThresholdOutOfRangeError):
             specificity(self.pmf, -1)
+
+    def test_head_sums_keep_the_bits_of_their_own_cumulative_sum(self, rng):
+        """:func:`_head_sums`, built on :func:`_tail_sums`, against the
+        formula it replaced: a forward cumulative sum clipped to 1."""
+
+        def reference(probs):
+            p = np.asarray(probs, dtype=np.float64)
+            out = np.zeros(p.shape[:-1] + (p.shape[-1] + 1,))
+            out[..., 1:] = np.minimum(np.cumsum(p, axis=-1), 1.0)
+            out[..., -1] = 1.0
+            return out
+
+        for case in range(300):  # 1-D and 2-D, a third with some entries zeroed
+            k = int(rng.integers(1, 40))
+            rows = () if case % 2 else (int(rng.integers(1, 8)),)
+            probs = rng.dirichlet(np.ones(k), size=rows or None)
+            if case % 3 == 0:
+                probs[rng.random(probs.shape) < 0.5] = 0.0
+            assert _head_sums(probs).tobytes() == reference(probs).tobytes()
+        assert _head_sums((0.7, 0.2, 0.1)).tolist() == reference((0.7, 0.2, 0.1)).tolist()
 
     @given(pmfs(max_k=12))
     @settings(max_examples=200, deadline=None)
@@ -977,9 +1001,9 @@ class TestCountingKernel:
         assert analysis.partition.boundaries == tuple(boundaries.tolist())
         assert analysis.pmf_diseased.probs == tuple((counts1 / n1).tolist())
         assert analysis.pmf_healthy.probs == tuple((counts0 / n0).tolist())
-        partition, assignment = discretize(cohort, k)
+        partition = discretize(cohort, k)
         assert analysis.partition == partition
-        pmfs = estimate_conditional_pmfs(assignment, cohort)
+        pmfs = estimate_conditional_pmfs(partition, cohort)
         assert (analysis.pmf_diseased, analysis.pmf_healthy) == pmfs
 
     @pytest.mark.parametrize(
@@ -1085,13 +1109,16 @@ class TestAnalyzeCohort:
         [
             lambda pmf: analyze_cohort(None, 2),
             lambda pmf: discretize("x", 2),
+            lambda pmf: estimate_conditional_pmfs(small_cohort(), small_cohort()),
+            lambda pmf: estimate_conditional_pmfs(discretize(small_cohort(), 2), pmf),
             lambda pmf: roc_points(None, pmf),
             lambda pmf: roc_points(pmf, "x"),
             lambda pmf: select_threshold(None, pmf),
             lambda pmf: select_threshold(pmf, 1.5),
         ],
         ids=[
-            "analyze-none", "discretize-text", "roc-none", "roc-text", "select-none",
+            "analyze-none", "discretize-text", "estimate-cohort-as-partition",
+            "estimate-pmf-as-cohort", "roc-none", "roc-text", "select-none",
             "select-float",
         ],
     )

@@ -47,6 +47,7 @@ from scalesense import (
     write_report,
 )
 from scalesense import io as scalesense_io
+from scalesense.core import _shown
 
 
 def write(tmp_path, text, name="cohort.csv"):
@@ -56,8 +57,9 @@ def write(tmp_path, text, name="cohort.csv"):
 
 
 def reference_load_cohort(path, schema=None):
-    """The whole-file loader that the streaming one replaced, kept verbatim
-    as the oracle for ``test_matches_the_reference_loader``."""
+    """The whole-file loader that the streaming one replaced, kept as the
+    oracle for ``test_matches_the_reference_loader``; it echoes a bad value
+    through ``_shown``, as the streaming loader does."""
     schema = schema or CohortFileSchema()
     path = Path(path)
     try:
@@ -100,14 +102,14 @@ def reference_load_cohort(path, schema=None):
             score = float(raw_score)
         except ValueError:
             raise ParseError(
-                f"row {rownum}: score {raw_score!r} is not a number"
+                f"row {rownum}: score {_shown(raw_score)} is not a number"
             ) from None
         if not math.isfinite(score):
-            raise ParseError(f"row {rownum}: score {raw_score!r} is not finite")
+            raise ParseError(f"row {rownum}: score {_shown(raw_score)} is not finite")
         raw_outcome = row[outcome_idx].strip()
         if raw_outcome not in ("0", "1"):
             raise ParseError(
-                f"row {rownum}: outcome must be 0 or 1, got {raw_outcome!r}"
+                f"row {rownum}: outcome must be 0 or 1, got {_shown(raw_outcome)}"
             )
         scores.append(score)
         outcomes.append(int(raw_outcome))
@@ -286,6 +288,18 @@ class TestLoadCohort:
         path = write(tmp_path, "score,outcome\n1.0,0\noops,1\n")
         with pytest.raises(ParseError, match="row 2"):
             load_cohort(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        ["x" * 100_000 + ",1", "9" * 100_000 + ",1", "1.0," + "2" * 100_000],
+        ids=["score-not-a-number", "score-not-finite", "outcome"],
+    )
+    def test_a_long_bad_value_is_shown_cut_short(self, tmp_path, row):
+        path = write(tmp_path, f"score,outcome\n{row}\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_cohort(path)
+        assert excinfo.value.code == "parse-error"
+        assert len(str(excinfo.value)) < 200
 
     def test_non_finite_scores_are_rejected(self, tmp_path):
         path = write(tmp_path, "score,outcome\nnan,0\n")
@@ -543,8 +557,7 @@ class TestLoadCohort:
             "score,outcome\n10,1\n20,0\n30,1\n40,0\n50,1\n60,0\n",
         )
         cohort = load_cohort(path)
-        _, assignment = discretize(cohort, 3)
-        pmf1, _ = estimate_conditional_pmfs(assignment, cohort)
+        pmf1, _ = estimate_conditional_pmfs(discretize(cohort, 3), cohort)
         np.testing.assert_allclose(pmf1.probs, (1 / 3, 1 / 3, 1 / 3), rtol=0, atol=0)
 
 
@@ -1125,6 +1138,20 @@ class TestReports:
         path.write_text(json.dumps({"schema_version": "1"}))
         with pytest.raises(SchemaError):
             read_report(path)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("payload", "criterion"), "x" * 100_000), (("payload", "kind"), ["x"] * 50_000)],
+        ids=["criterion", "payload-kind"],
+    )
+    def test_a_long_bad_value_is_shown_cut_short(self, tmp_path, path, value):
+        body = mutate(report_body(sweep_document(), tmp_path), path, value)
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(body))
+        with pytest.raises(SchemaError) as excinfo:
+            read_report(target)
+        assert excinfo.value.code == "schema-error"
+        assert len(str(excinfo.value)) < 200
 
     @pytest.mark.parametrize(
         "make, path, value, code",

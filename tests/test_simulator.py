@@ -34,8 +34,8 @@ def reference_sweep(spec, k_values, reps, criterion):
     for r in range(reps):
         cohort = generate_cohort(replace(spec, seed=replication_seed(spec.seed, r)))
         for j, k in enumerate(k_values):
-            _, assignment = discretize(cohort, k)
-            summary = select_threshold(*estimate_conditional_pmfs(assignment, cohort), criterion)
+            pmfs = estimate_conditional_pmfs(discretize(cohort, k), cohort)
+            summary = select_threshold(*pmfs, criterion)
             se[r, j], sp[r, j], cc[r, j] = summary.se, summary.sp, summary.c
     return [
         (k, np.mean(se[:, j]), np.std(se[:, j]), np.mean(sp[:, j]), np.std(sp[:, j]),
@@ -402,8 +402,7 @@ class TestPartitionSweep:
         for r in range(5):
             child = replace(base, seed=replication_seed(base.seed, r))
             cohort = generate_cohort(child)
-            _, assignment = discretize(cohort, 3)
-            pmf1, pmf0 = estimate_conditional_pmfs(assignment, cohort)
+            pmf1, pmf0 = estimate_conditional_pmfs(discretize(cohort, 3), cohort)
             ses.append(select_threshold(pmf1, pmf0).se)
         record = report.records[0]
         assert record.mean_se == np.mean(ses)
