@@ -767,6 +767,12 @@ class TestEstimate:
         with pytest.raises(DegenerateCohortError):
             estimate_conditional_pmfs(PartitionSpec(boundaries=(1.0,)), cohort)
 
+    @pytest.mark.parametrize("outcomes", [[0, 0], []], ids=["all-healthy", "empty"])
+    def test_rejects_a_cohort_without_both_groups(self, outcomes):
+        cohort = Cohort(scores=[1.0, 2.0][: len(outcomes)], outcomes=outcomes)
+        with pytest.raises(DegenerateCohortError):
+            estimate_conditional_pmfs(PartitionSpec(boundaries=(1.0,)), cohort)
+
     def test_classifies_a_held_out_cohort(self):
         train = Cohort(scores=[1, 2, 3, 4, 5, 6], outcomes=[0, 0, 1, 0, 1, 1])
         partition = discretize(train, 3)
@@ -778,6 +784,55 @@ class TestEstimate:
         pmf1, pmf0 = estimate_conditional_pmfs(partition, other)
         assert pmf1.probs == (0.5, 0.25, 0.25)  # 0.5 and 2.0 | 4.0 | 9.0
         assert pmf0.probs == (0.0, 1 / 3, 2 / 3)  # none | 2.5 | 4.5 and 1e9
+
+    @pytest.mark.parametrize(
+        "boundaries, score, expected",
+        [
+            ((1.0, 2.0), 0.5, 1),
+            ((1.0, 2.0), 1.0, 1),
+            ((1.0, 2.0), 1.5, 2),
+            ((1.0, 2.0), 2.0, 2),
+            ((1.0, 2.0), 2.5, 3),
+            ((), 7.0, 1),
+            ((1.0, 1.0), 1.0, 1),
+            ((1.0, 1.0), 1.5, 3),
+            ((0.0,), -0.0, 1),
+            ((-0.0,), 0.0, 1),
+            ((1.0,), float(np.nextafter(1.0, 2.0)), 2),
+            ((1.0,), float(np.finfo(np.float64).max), 2),
+            ((1.0,), float(-np.finfo(np.float64).max), 1),
+        ],
+        ids=[
+            "below-the-first", "on-the-first", "between", "on-the-last", "above-the-last",
+            "one-class", "on-tied-boundaries", "past-tied-boundaries",
+            "negative-zero-on-zero", "zero-on-negative-zero", "one-ulp-above",
+            "largest-float", "lowest-float",
+        ],
+    )
+    def test_a_score_lands_in_the_first_class_whose_boundary_it_does_not_exceed(
+        self, boundaries, score, expected
+    ):
+        partition = PartitionSpec(boundaries=boundaries)
+        pmf1, pmf0 = estimate_conditional_pmfs(
+            partition, Cohort(scores=[score, score], outcomes=[1, 0])
+        )
+        one_hot = tuple(float(j == expected) for j in range(1, partition.k + 1))
+        assert pmf1.probs == pmf0.probs == one_hot
+
+    @given(st.lists(st.integers(-1, 7), max_size=6), tie_heavy_cohorts(max_n=30))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_per_subject_reference(self, boundaries, cohort):
+        """Any partition, fitted or not, against the class rule applied to
+        one subject at a time."""
+        assume(cohort.n_diseased > 0 and cohort.n_healthy > 0)
+        partition = PartitionSpec(boundaries=sorted(map(float, boundaries)))
+        counts = {outcome: [0] * partition.k for outcome in (0, 1)}
+        for score, outcome in zip(cohort.scores.tolist(), cohort.outcomes.tolist()):
+            below = [j for j, b in enumerate(partition.boundaries) if score <= b]
+            counts[outcome][below[0] if below else partition.k - 1] += 1
+        pmf1, pmf0 = estimate_conditional_pmfs(partition, cohort)
+        assert pmf1.probs == tuple(c / cohort.n_diseased for c in counts[1])
+        assert pmf0.probs == tuple(c / cohort.n_healthy for c in counts[0])
 
     @given(tie_heavy_cohorts(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -1111,6 +1166,9 @@ class TestAnalyzeCohort:
             lambda pmf: discretize("x", 2),
             lambda pmf: estimate_conditional_pmfs(small_cohort(), small_cohort()),
             lambda pmf: estimate_conditional_pmfs(discretize(small_cohort(), 2), pmf),
+            lambda pmf: estimate_conditional_pmfs(discretize(small_cohort(), 2), None),
+            lambda pmf: estimate_conditional_pmfs((0.4,), small_cohort()),
+            lambda pmf: estimate_conditional_pmfs(small_cohort(), discretize(small_cohort(), 2)),
             lambda pmf: roc_points(None, pmf),
             lambda pmf: roc_points(pmf, "x"),
             lambda pmf: select_threshold(None, pmf),
@@ -1118,8 +1176,9 @@ class TestAnalyzeCohort:
         ],
         ids=[
             "analyze-none", "discretize-text", "estimate-cohort-as-partition",
-            "estimate-pmf-as-cohort", "roc-none", "roc-text", "select-none",
-            "select-float",
+            "estimate-pmf-as-cohort", "estimate-none-as-cohort",
+            "estimate-boundaries-as-partition", "estimate-swapped-arguments", "roc-none",
+            "roc-text", "select-none", "select-float",
         ],
     )
     def test_wrongly_typed_arguments_are_domain_errors(self, call):
