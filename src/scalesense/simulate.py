@@ -9,6 +9,8 @@ the chosen cut can be studied empirically.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,6 +180,64 @@ def generate_cohort(spec: CohortSpec) -> Cohort:
     return Cohort(scores=scores, outcomes=outcomes)
 
 
+def _sweep_on_cpus(sweep, starts: range, results: tuple) -> None:
+    """Run ``sweep`` on the block ``starts``, which fill rows of ``results``,
+    in one contiguous share of them per CPU this process may use.
+
+    The first share runs here; every other runs in a child forked first,
+    which copies its rows into shared memory and leaves only by
+    ``os._exit``.  If this process's share raises, every child is killed and
+    reaped first.  Otherwise every child is reaped, the rows of those that
+    exited 0 are copied in, and the share of any other child, or of one that
+    could not be forked, runs here, in order, so the first faulty
+    replication raises what it raises in one process.
+    """
+    workers = 1
+    # From CPython 3.12 os.fork warns in a threaded process, as numpy makes this one.
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12):
+        workers = min(len(starts), len(os.sched_getaffinity(0)))
+    shares = [starts[w * len(starts) // workers : (w + 1) * len(starts) // workers]
+              for w in range(workers)]
+    bounds = [share.start for share in shares[1:]] + [len(results[0])]
+    pids = []
+    try:
+        if workers > 1:
+            # Not at module level: these two add about 1 ms to every command's start-up.
+            import mmap
+            import signal
+
+            buffer = mmap.mmap(-1, len(results) * results[0].nbytes)
+            shared = np.frombuffer(buffer).reshape((len(results), *results[0].shape))
+        for share, lo, hi in zip(shares[1:], bounds, bounds[1:]):
+            if not (pid := os.fork()):
+                status = 1
+                try:
+                    sweep(share)
+                    for rows, result in zip(shared, results):
+                        rows[lo:hi] = result[lo:hi]
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+    except OSError:  # no shared memory or no more processes: the rest runs here
+        pass
+    try:
+        sweep(shares[0])
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    # A share whose fork failed counts as one whose child failed.
+    exited = [os.waitpid(pid, 0)[1] == 0 for pid in pids] + [False] * workers
+    for share, lo, hi, ok in zip(shares[1:], bounds, bounds[1:], exited):
+        if ok:
+            for rows, result in zip(shared, results):
+                result[lo:hi] = rows[lo:hi]
+        else:
+            sweep(share)
+
+
 def run_partition_sweep(
     spec: CohortSpec,
     k_values: tuple[int, ...] = DEFAULT_CLASS_LADDER,
@@ -199,6 +259,13 @@ def run_partition_sweep(
     fails with an invariant violation, and the first that leaves one outcome
     group empty with a degenerate-cohort error naming the replication and
     its child seed.
+
+    The blocks run on the CPUs this process may use
+    (``os.sched_getaffinity``): one contiguous share of them per CPU, the
+    first here and each other in a forked child, and the report's bytes do
+    not depend on how many that is.  The sweep runs in this process alone
+    when it has one block, when one CPU is usable, when ``os.fork`` is
+    missing or fails, and from CPython 3.12.
     """
     require_type(spec, CohortSpec, "spec", SpecValidationError)
     reps, ks = _sweep_shape(reps, k_values, spec.n)
@@ -209,27 +276,31 @@ def run_partition_sweep(
     block = max(1, min(reps, _BLOCK_CELLS // n))
     scores, outcomes = (_empty((block, n), SpecValidationError, kind) for kind in (float, np.int8))
     class_ranks = [_class_ranks(n, k) for k in ks]
-    for start in range(0, reps, block):
-        rows = slice(start, min(start + block, reps))
-        size = rows.stop - start
-        with np.errstate(over="ignore"):  # the finite check below refuses overflowed scores
-            for i in range(size):
-                _draw(spec, replication_seed(spec.seed, start + i), scores[i], outcomes[i])
-        finite = np.isfinite(scores[:size]).all(axis=1)
-        n1, counts = _block_counts(scores[:size], outcomes[:size], class_ranks)
-        if not (ok := finite & (n1 > 0) & (n1 < n)).all():
-            i = int(np.argmin(ok))
-            if not finite[i]:
-                raise InvariantViolationError("all scores must be finite")
-            raise DegenerateCohortError(
-                f"replication {start + i} (child seed {replication_seed(spec.seed, start + i)}):"
-                f" both outcome groups must be non-empty (n1={n1[i]}, n0={n - n1[i]})"
-            )
-        n1 = n1[:, None]
-        for j, (counts1, counts0) in enumerate(counts):
-            cc[rows, j], se[rows, j], sp[rows, j], _ = _best_threshold(
-                counts1 / n1, counts0 / (n - n1), criterion
-            )
+
+    def sweep(starts: range) -> None:
+        for start in starts:
+            rows = slice(start, min(start + block, reps))
+            size = rows.stop - start
+            with np.errstate(over="ignore"):  # the finite check below refuses overflowed scores
+                for i in range(size):
+                    _draw(spec, replication_seed(spec.seed, start + i), scores[i], outcomes[i])
+            finite = np.isfinite(scores[:size]).all(axis=1)
+            n1, counts = _block_counts(scores[:size], outcomes[:size], class_ranks)
+            if not (ok := finite & (n1 > 0) & (n1 < n)).all():
+                i = int(np.argmin(ok))
+                if not finite[i]:
+                    raise InvariantViolationError("all scores must be finite")
+                raise DegenerateCohortError(
+                    f"replication {start + i} (child seed {replication_seed(spec.seed, start + i)}):"
+                    f" both outcome groups must be non-empty (n1={n1[i]}, n0={n - n1[i]})"
+                )
+            n1 = n1[:, None]
+            for j, (counts1, counts0) in enumerate(counts):
+                cc[rows, j], se[rows, j], sp[rows, j], _ = _best_threshold(
+                    counts1 / n1, counts0 / (n - n1), criterion
+                )
+
+    _sweep_on_cpus(sweep, range(0, reps, block), (se, sp, cc))
 
     records = tuple(
         SweepRecord(

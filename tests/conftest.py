@@ -74,6 +74,20 @@ def source_tree_on_child_path():
         yield
 
 
+@pytest.fixture(autouse=True)
+def every_child_reaped():
+    """A test fails if it leaves a child process running or unreaped, as a
+    sweep that forks must not."""
+    yield
+    if not hasattr(os, "fork"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process {'running' if pid == 0 else f'{pid} unreaped'}")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

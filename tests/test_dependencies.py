@@ -1,7 +1,7 @@
 """Every third-party module the package imports is a declared dependency,
-``import scalesense.cli`` loads none but numpy, and ``orjson`` is loaded only
-by the commands that format float runs or parse a plain cohort file, where no
-parse makes it keep its buffer for short texts."""
+``import scalesense.cli`` loads none but numpy and no process-pool module,
+and ``orjson`` is loaded only by the commands that format float runs or parse
+a plain cohort file, where no parse makes it keep its buffer for short texts."""
 
 import ast
 import os
@@ -75,6 +75,15 @@ def test_importing_the_cli_loads_no_third_party_module_but_numpy():
     loaded = set(run_python(CLI_IMPORTS).stdout.split())
     assert "numpy" in loaded and "scalesense" in loaded, "the import went unseen"
     assert loaded - set(sys.stdlib_module_names) - {"scalesense"} == {"numpy"}
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The sweep forks its workers with ``os.fork``; ``multiprocessing`` or
+    ``concurrent.futures``, if imported at start-up, would cost every
+    command their load time."""
+    loaded = set(run_python(CLI_IMPORTS).stdout.split())
+    assert "scalesense" in loaded, "the import went unseen"
+    assert not loaded & {"multiprocessing", "concurrent"}
 
 
 LAZY_ORJSON = """

@@ -1,3 +1,7 @@
+import errno
+import mmap
+import os
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -407,3 +411,174 @@ class TestPartitionSweep:
         record = report.records[0]
         assert record.mean_se == np.mean(ses)
         assert record.sd_se == np.std(ses)
+
+
+def cpus(count):
+    """A stand-in for ``os.sched_getaffinity`` that reports ``count`` CPUs."""
+    return lambda pid: set(range(count))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that the sweep forks in this process."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        if pid := fork():
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def failing_fork(successes):
+    """An ``os.fork`` that forks ``successes`` times, then raises ``OSError``."""
+    fork, calls = os.fork, []
+
+    def fork_or_fail():
+        calls.append(None)
+        if len(calls) > successes:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    return fork_or_fail
+
+
+def dying_fork():
+    """An ``os.fork`` whose children exit 1 at once, as if killed."""
+    fork = os.fork
+
+    def fork_and_die():
+        if not (pid := fork()):
+            os._exit(1)
+        return pid
+
+    return fork_and_die
+
+
+def no_shared_memory(*args):
+    raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+
+FORKS = sys.version_info < (3, 12)  # from 3.12 the sweep runs in one process
+
+
+def raised(call):
+    """Class, code and message of the ``ScaleSenseError`` that ``call()`` raises."""
+    with pytest.raises(ScaleSenseError) as excinfo:
+        call()
+    return type(excinfo.value), excinfo.value.code, str(excinfo.value)
+
+
+class TestSweepOnCpus:
+    KS = (2, 3, 7, 13, 30, 59, 60)
+
+    @pytest.mark.parametrize("criterion", list(ThresholdCriterion), ids=lambda c: c.value)
+    @pytest.mark.parametrize("blocks", [2, 3, 5])
+    def test_every_cpu_count_gives_the_reference_bits(self, monkeypatch, forks, criterion, blocks):
+        rows = 4
+        base = spec(n=60, seed=13)
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", base.n * rows)
+        reps = rows * (blocks - 1) + 1  # the last block holds one row
+        reports = []
+        for count in (1, len(os.sched_getaffinity(0)), 4):
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "sched_getaffinity", cpus(count))
+                reports.append(run_partition_sweep(base, self.KS, reps, criterion))
+        assert reports[0] == reports[1] == reports[2]
+        got = [(r.k, r.mean_se, r.sd_se, r.mean_sp, r.sd_sp, r.mean_c) for r in reports[0].records]
+        assert got == reference_sweep(base, self.KS, reps, criterion)
+        host = len(os.sched_getaffinity(0))
+        assert len(forks) == FORKS * (min(blocks, host) - 1 + min(blocks, 4) - 1)
+
+    @pytest.mark.parametrize(
+        "owner, name, value",
+        [
+            (os, "sched_getaffinity", cpus(1)),
+            (sys, "version_info", (3, 12, 0, "final", 0)),
+            (os, "fork", None),
+            (os, "sched_getaffinity", None),
+            (os, "fork", failing_fork(0)),
+            (os, "fork", failing_fork(1)),
+            (os, "fork", dying_fork()),
+            (mmap, "mmap", no_shared_memory),
+        ],
+        ids=[
+            "one-cpu", "python-3.12", "no-fork", "no-cpu-set", "fork-fails",
+            "second-fork-fails", "children-die", "no-shared-memory",
+        ],
+    )
+    def test_a_sweep_that_cannot_fork_runs_here_with_the_same_bits(
+        self, monkeypatch, owner, name, value
+    ):
+        # None deletes the attribute.
+        base = spec(n=60, seed=17)
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", base.n * 3)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4))
+        expected = run_partition_sweep(base, self.KS, 14)
+        if value is None:
+            monkeypatch.delattr(owner, name)
+        else:
+            monkeypatch.setattr(owner, name, value)
+        assert run_partition_sweep(base, self.KS, 14) == expected
+
+    @staticmethod
+    def faults(base, reps):
+        """Index and error code of every faulty draw among ``reps`` of ``base``."""
+        found = []
+        for r in range(reps):
+            try:
+                cohort = generate_cohort(replace(base, seed=replication_seed(base.seed, r)))
+            except InvariantViolationError:
+                found.append((r, "invariant-violation"))
+                continue
+            if cohort.n_diseased in (0, len(cohort)):
+                found.append((r, "degenerate-cohort"))
+        return found
+
+    @pytest.mark.parametrize(
+        "sigma, code, share",
+        [
+            (1.0, "degenerate-cohort", "child"),
+            (1e308, "invariant-violation", "child"),
+            (1.0, "degenerate-cohort", "parent"),
+            (1e308, "invariant-violation", "parent"),
+        ],
+        ids=["degenerate-in-a-child", "overflow-in-a-child", "degenerate-here", "overflow-here"],
+    )
+    def test_a_faulty_draw_raises_what_it_raises_in_one_process(
+        self, monkeypatch, forks, sigma, code, share
+    ):
+        # Four 2-row blocks over four CPUs: this process draws replications
+        # 0-1 and each of three children the next two.  The first fault is
+        # wanted past the first child's share, or in this process's share,
+        # and a later child's share is to fail too.
+        rows, reps = 2, 8
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * rows)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4))
+        earliest = 2 * rows if share == "child" else 0
+        latest = reps if share == "child" else rows
+
+        def wanted(base):
+            found = self.faults(base, reps)
+            return (
+                len(found) > 1
+                and found[0][1] == code
+                and earliest <= found[0][0] < latest
+                and found[-1][0] // rows > found[0][0] // rows
+            )
+
+        base = next(
+            base
+            for base in (spec(n=3, prevalence=0.5, sigma=sigma, seed=s) for s in range(500))
+            if wanted(base)
+        )
+        parallel = raised(lambda: run_partition_sweep(base, (2,), reps))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == FORKS * 3
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
+        assert parallel == raised(lambda: run_partition_sweep(base, (2,), reps))
+        assert parallel[1] == code
