@@ -9,6 +9,7 @@ errors (argparse's native convention).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -254,10 +255,33 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that :func:`run` uses, built on its first call in a process."""
+    return build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command from ``argv`` (default ``sys.argv[1:]``); its exit status.
+
+    Every call in a process parses with one parser, built on the first call
+    (not at import, which every command's start-up pays) and reused, which
+    leaves each call's output as a fresh parser's:
+
+    - argparse keeps no state of a parse on the parser; each ``parse_args``
+      fills a new ``Namespace``.
+    - Every default is immutable: the ``DEFAULT_CLASS_LADDER`` tuple,
+      strings, ``None`` and bools.
+    - Help, usage, error and ``--version`` text goes to ``sys.stdout`` or
+      ``sys.stderr`` as they are when it is printed, wrapped to the terminal
+      width read then, so ``contextlib.redirect_stdout`` and pytest's
+      ``capsys`` still capture it.
+    - The handlers are bound at the first build, but they look up the
+      functions they call (``search_counterexample`` and the like) when
+      called, so wrapping those names in this module still takes effect.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -188,13 +188,32 @@ def _sweep_on_cpus(sweep, starts: range, results: tuple) -> None:
     which copies its rows into shared memory and leaves only by
     ``os._exit``.  If this process's share raises, every child is killed and
     reaped first.  Otherwise every child is reaped, the rows of those that
-    exited 0 are copied in, and the share of any other child, or of one that
-    could not be forked, runs here, in order, so the first faulty
+    exited 0 are copied in, and the share of any other child, of one that
+    could not be forked, or of one that someone else reaped first (its
+    status is unknown), runs here, in order, so the first faulty
     replication raises what it raises in one process.
+
+    Children are forked only while ``SIGCHLD`` has its default disposition.
+    Under ``SIG_IGN`` the kernel reaps each child as it exits, and a Python
+    handler may reap it too, so no child's status could be read and every
+    share would run twice.  Holding each child by ``os.pidfd_open`` would
+    not bring the status back, and needs Linux 5.3, so this guard was chosen
+    over it.  What it leaves open is a thread that reaps with
+    ``os.waitpid(-1, ...)`` while ``SIGCHLD`` is at its default: the share
+    of a child it takes reruns here, but if this process's share raises,
+    ``os.kill`` may name a pid that the kernel has given to another process.
     """
+    # Not at module level: signal and mmap add about 1 ms to every command's start-up.
+    import signal
+
     workers = 1
     # From CPython 3.12 os.fork warns in a threaded process, as numpy makes this one.
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and sys.version_info < (3, 12):
+    if (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and sys.version_info < (3, 12)
+        and signal.getsignal(signal.SIGCHLD) is signal.SIG_DFL
+    ):
         workers = min(len(starts), len(os.sched_getaffinity(0)))
     shares = [starts[w * len(starts) // workers : (w + 1) * len(starts) // workers]
               for w in range(workers)]
@@ -202,9 +221,7 @@ def _sweep_on_cpus(sweep, starts: range, results: tuple) -> None:
     pids = []
     try:
         if workers > 1:
-            # Not at module level: these two add about 1 ms to every command's start-up.
             import mmap
-            import signal
 
             buffer = mmap.mmap(-1, len(results) * results[0].nbytes)
             shared = np.frombuffer(buffer).reshape((len(results), *results[0].shape))
@@ -225,17 +242,28 @@ def _sweep_on_cpus(sweep, starts: range, results: tuple) -> None:
         sweep(shares[0])
     except BaseException:
         for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:  # reaped elsewhere: nothing is left to kill or reap
+                pass
         raise
     # A share whose fork failed counts as one whose child failed.
-    exited = [os.waitpid(pid, 0)[1] == 0 for pid in pids] + [False] * workers
+    exited = [_exited_0(pid) for pid in pids] + [False] * workers
     for share, lo, hi, ok in zip(shares[1:], bounds, bounds[1:], exited):
         if ok:
             for rows, result in zip(shared, results):
                 result[lo:hi] = rows[lo:hi]
         else:
             sweep(share)
+
+
+def _exited_0(pid: int) -> bool:
+    """Reap child ``pid``: whether it exited 0, false if reaped elsewhere first."""
+    try:
+        return os.waitpid(pid, 0)[1] == 0
+    except ChildProcessError:
+        return False
 
 
 def run_partition_sweep(
@@ -264,8 +292,9 @@ def run_partition_sweep(
     (``os.sched_getaffinity``): one contiguous share of them per CPU, the
     first here and each other in a forked child, and the report's bytes do
     not depend on how many that is.  The sweep runs in this process alone
-    when it has one block, when one CPU is usable, when ``os.fork`` is
-    missing or fails, and from CPython 3.12.
+    when it has one block, when one CPU is usable, when ``SIGCHLD`` is not
+    at its default disposition, when ``os.fork`` is missing or fails, and
+    from CPython 3.12.
     """
     require_type(spec, CohortSpec, "spec", SpecValidationError)
     reps, ks = _sweep_shape(reps, k_values, spec.n)

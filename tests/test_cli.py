@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from scalesense import load_cohort, read_report
+import scalesense.cli as cli
+from scalesense import DEFAULT_CLASS_LADDER, __version__, load_cohort, read_report
 from scalesense.cli import run
 
 
@@ -352,6 +353,64 @@ class TestUsageErrors:
         assert invoke(capsys, "--help")[0] == 0
         for sub in ("analyze", "simulate", "sweep", "refine-check", "counterexample"):
             assert invoke(capsys, sub, "--help")[0] == 0
+
+
+class TestParserReuse:
+    """``run`` builds its parser on its first call in a process and reuses it
+    on every later call, with each call's output a fresh parser's."""
+
+    SPEC = ["--seed", "4", "--n", "800", "--prevalence", "0.4", "--mu0", "0", "--mu1", "1",
+            "--sigma", "1"]
+    SEARCH = ["counterexample", "--k", "2", "--grid-step", "0.1", "--allow-negative-deltas",
+              "--no-enforce-assumption"]
+
+    @pytest.fixture(autouse=True)
+    def first_call_in_the_process(self):
+        cli._parser.cache_clear()
+
+    def test_the_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        build, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or build())
+        cohort = tmp_path / "c.csv"
+        for argv in (
+            ["simulate", *self.SPEC, "--out", str(cohort)],
+            ["analyze", "--input", str(cohort), "--k", "3", "--out", str(tmp_path / "a.json")],
+            ["sweep", *self.SPEC, "--k-list", "2,3", "--reps", "2",
+             "--out", str(tmp_path / "s.json")],
+            self.SEARCH,
+            ["counterexample", "--k", "2", "--grid-step", "0.5"],
+        ):
+            assert invoke(capsys, *argv)[0] == 0
+        assert len(built) == 1
+        assert build() is not build()
+
+    def test_no_value_leaks_into_the_next_call(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        sweep = ["sweep", *self.SPEC, "--reps", "1", "--out", str(out)]
+        assert invoke(capsys, *sweep, "--k-list", "2,5")[0] == 0
+        assert read_report(out).payload.k_values == (2, 5)
+        assert invoke(capsys, *sweep)[0] == 0
+        assert read_report(out).payload.k_values == DEFAULT_CLASS_LADDER
+
+        bare, headed = tmp_path / "bare.csv", tmp_path / "headed.csv"
+        bare.write_text("1.0,0\n2.0,1\n3.0,0\n")
+        headed.write_text("score,outcome\n1.0,0\n2.0,1\n3.0,0\n4.0,1\n")
+        analyze = ["analyze", "--k", "2", "--out", str(tmp_path / "a.json")]
+        code, text, _ = invoke(capsys, *analyze, "--input", str(bare), "--no-header")
+        assert (code, text.split()[1]) == (0, "n=3")
+        code, text, _ = invoke(capsys, *analyze, "--input", str(headed))
+        assert (code, text.split()[1]) == (0, "n=4")
+
+    def test_usage_help_and_version_leave_the_next_call_as_a_first_call(self, capsys):
+        first = invoke(capsys, *self.SEARCH)
+        cli._parser.cache_clear()
+        code, out, err = invoke(capsys, "counterexample", "--k", "two")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: scalesense counterexample ")
+        assert invoke(capsys, "--help") == (0, cli.build_parser().format_help(), "")
+        assert invoke(capsys, "--version") == (0, f"{__version__}\n", "")
+        assert invoke(capsys, *self.SEARCH) == first
+        assert first[0] == 0 and first[1].startswith("counterexample: base=")
 
 
 SPEC_VALUES = {"--seed": "1", "--n": "20", "--prevalence": "0.5", "--mu0": "0", "--mu1": "1",

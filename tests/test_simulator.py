@@ -1,6 +1,8 @@
+import contextlib
 import errno
 import mmap
 import os
+import signal
 import sys
 import tracemalloc
 import warnings
@@ -465,6 +467,31 @@ def no_shared_memory(*args):
 FORKS = sys.version_info < (3, 12)  # from 3.12 the sweep runs in one process
 
 
+@contextlib.contextmanager
+def sigchld_ignored():
+    """``SIGCHLD`` set to ``SIG_IGN``, as some daemons set it, so that the
+    kernel reaps each child as it exits; the previous disposition after."""
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+def reaped_elsewhere(victim):
+    """An ``os.waitpid`` that reaps child ``victim()`` but raises
+    ``ChildProcessError`` for it, as if another thread had reaped it first."""
+    waitpid = os.waitpid
+
+    def wait(pid, options):
+        status = waitpid(pid, options)
+        if pid == victim():
+            raise ChildProcessError(errno.ECHILD, "No child processes")
+        return status
+
+    return wait
+
+
 def raised(call):
     """Class, code and message of the ``ScaleSenseError`` that ``call()`` raises."""
     with pytest.raises(ScaleSenseError) as excinfo:
@@ -538,26 +565,10 @@ class TestSweepOnCpus:
                 found.append((r, "degenerate-cohort"))
         return found
 
-    @pytest.mark.parametrize(
-        "sigma, code, share",
-        [
-            (1.0, "degenerate-cohort", "child"),
-            (1e308, "invariant-violation", "child"),
-            (1.0, "degenerate-cohort", "parent"),
-            (1e308, "invariant-violation", "parent"),
-        ],
-        ids=["degenerate-in-a-child", "overflow-in-a-child", "degenerate-here", "overflow-here"],
-    )
-    def test_a_faulty_draw_raises_what_it_raises_in_one_process(
-        self, monkeypatch, forks, sigma, code, share
-    ):
-        # Four 2-row blocks over four CPUs: this process draws replications
-        # 0-1 and each of three children the next two.  The first fault is
-        # wanted past the first child's share, or in this process's share,
-        # and a later child's share is to fail too.
-        rows, reps = 2, 8
-        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * rows)
-        monkeypatch.setattr(os, "sched_getaffinity", cpus(4))
+    def faulty_base(self, sigma, code, share, rows, reps):
+        """A spec whose first faulty draw among ``reps`` raises ``code``, in
+        this process's share (the first ``rows`` replications) or past the
+        first child's, with a later block faulty too."""
         earliest = 2 * rows if share == "child" else 0
         latest = reps if share == "child" else rows
 
@@ -570,15 +581,85 @@ class TestSweepOnCpus:
                 and found[-1][0] // rows > found[0][0] // rows
             )
 
-        base = next(
+        return next(
             base
             for base in (spec(n=3, prevalence=0.5, sigma=sigma, seed=s) for s in range(500))
             if wanted(base)
         )
-        parallel = raised(lambda: run_partition_sweep(base, (2,), reps))
+
+    FAULTS = [
+        (1.0, "degenerate-cohort", "child"),
+        (1e308, "invariant-violation", "child"),
+        (1.0, "degenerate-cohort", "parent"),
+        (1e308, "invariant-violation", "parent"),
+    ]
+    FAULT_IDS = ["degenerate-in-a-child", "overflow-in-a-child", "degenerate-here", "overflow-here"]
+
+    @pytest.mark.parametrize(
+        "sigma, code, share, ignored",
+        [(*fault, False) for fault in FAULTS] + [(*fault, True) for fault in FAULTS],
+        ids=FAULT_IDS + [f"{name}-sigchld-ignored" for name in FAULT_IDS],
+    )
+    def test_a_faulty_draw_raises_what_it_raises_in_one_process(
+        self, monkeypatch, forks, sigma, code, share, ignored
+    ):
+        # Four 2-row blocks over four CPUs: this process draws replications
+        # 0-1 and each of three children the next two.  The first fault is
+        # wanted past the first child's share, or in this process's share,
+        # and a later child's share is to fail too.  With SIGCHLD ignored no
+        # child is forked, so the share is only where the fault would be.
+        rows, reps = 2, 8
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * rows)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4))
+        base = self.faulty_base(sigma, code, share, rows, reps)
+        with sigchld_ignored() if ignored else contextlib.nullcontext():
+            parallel = raised(lambda: run_partition_sweep(base, (2,), reps))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-        assert len(forks) == FORKS * 3
+        assert len(forks) == FORKS * 3 * (not ignored)
         monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
         assert parallel == raised(lambda: run_partition_sweep(base, (2,), reps))
         assert parallel[1] == code
+
+    def test_an_ignored_sigchld_runs_the_sweep_here_with_the_same_bits(self, monkeypatch, forks):
+        base = spec(n=60, seed=17)
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", base.n * 3)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
+        expected = run_partition_sweep(base, self.KS, 14)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4))
+        with sigchld_ignored():
+            assert run_partition_sweep(base, self.KS, 14) == expected
+        assert forks == []
+
+    def test_a_child_reaped_elsewhere_has_its_share_rerun_here(self, monkeypatch, forks):
+        # Five 3-row blocks over four CPUs: this process sweeps replications
+        # 0-2, and the second child's share, 6-8, reruns here.
+        base = spec(n=60, seed=17)
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", base.n * 3)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
+        expected = run_partition_sweep(base, self.KS, 14)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4))
+        monkeypatch.setattr(os, "waitpid", reaped_elsewhere(lambda: forks[1]))
+        drawn, seed = [], simulate.replication_seed
+        monkeypatch.setattr(
+            simulate, "replication_seed", lambda master, r: drawn.append(r) or seed(master, r)
+        )
+        assert run_partition_sweep(base, self.KS, 14) == expected
+        assert drawn == ([0, 1, 2, 6, 7, 8] if FORKS else list(range(14)))
+
+    @pytest.mark.parametrize(
+        "sigma, code", [(1.0, "degenerate-cohort"), (1e308, "invariant-violation")],
+        ids=["degenerate", "overflow"],
+    )
+    def test_a_fault_here_with_a_child_reaped_elsewhere_raises_what_it_raises_in_one_process(
+        self, monkeypatch, forks, sigma, code
+    ):
+        rows, reps = 2, 8
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 3 * rows)
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(1))
+        base = self.faulty_base(sigma, code, "parent", rows, reps)
+        expected = raised(lambda: run_partition_sweep(base, (2,), reps))
+        monkeypatch.setattr(os, "sched_getaffinity", cpus(4))
+        monkeypatch.setattr(os, "waitpid", reaped_elsewhere(lambda: forks[0]))
+        assert raised(lambda: run_partition_sweep(base, (2,), reps)) == expected
+        assert len(forks) == FORKS * 3
