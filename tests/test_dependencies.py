@@ -1,7 +1,8 @@
 """Every third-party module the package imports is a declared dependency,
-``import scalesense.cli`` loads none but numpy and no process-pool module,
-and ``orjson`` is loaded only by the commands that format float runs or parse
-a plain cohort file, where no parse makes it keep its buffer for short texts."""
+``import scalesense.cli`` loads none but numpy and no process-pool module
+and builds no parser, and ``orjson`` is loaded only by the commands that
+format float runs or parse a plain cohort file, where no parse makes it
+keep its buffer for short texts."""
 
 import ast
 import os
@@ -84,6 +85,34 @@ def test_importing_the_cli_loads_no_process_pool():
     loaded = set(run_python(CLI_IMPORTS).stdout.split())
     assert "scalesense" in loaded, "the import went unseen"
     assert not loaded & {"multiprocessing", "concurrent"}
+
+
+PARSERS_AT_IMPORT = """
+import argparse
+
+built = []
+init = argparse.ArgumentParser.__init__
+
+def counted(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted
+import scalesense.cli
+
+print(len(built))
+scalesense.cli.run(["--version"])
+print(len(built))
+"""
+
+
+def test_importing_the_cli_builds_no_parser():
+    """``cli.run`` builds its parser on its first call, not at import, which
+    every command pays as start-up and the benchmark times as ``setup_s``."""
+    lines = run_python(PARSERS_AT_IMPORT).stdout.splitlines()
+    at_import, after_run = int(lines[0]), int(lines[-1])
+    assert after_run > 0, "the count missed the first run's parser"
+    assert at_import == 0
 
 
 LAZY_ORJSON = """
